@@ -103,27 +103,6 @@ fn bench_coherence(c: &mut Criterion) {
     });
 }
 
-fn bench_engine(c: &mut Criterion) {
-    use ys_simcore::{Control, Engine, SimTime};
-    c.bench_function("event_engine_100k", |b| {
-        b.iter(|| {
-            let mut e: Engine<u64> = Engine::new();
-            for i in 0..1000u64 {
-                e.schedule_at(SimTime(i * 17 % 5000), i);
-            }
-            let mut n = 0u64;
-            e.run(|eng, t, v| {
-                n += 1;
-                if v % 10 == 0 && n < 100_000 {
-                    eng.schedule_at(SimTime(t.nanos() + 13), v + 1);
-                }
-                Control::Continue
-            });
-            black_box(n)
-        })
-    });
-}
-
 fn bench_full_cluster_op(c: &mut Criterion) {
     use ys_cache::Retention;
     use ys_core::{BladeCluster, ClusterConfig};
@@ -147,7 +126,6 @@ criterion_group!(
     bench_lru,
     bench_extent_map,
     bench_coherence,
-    bench_engine,
     bench_full_cluster_op
 );
 criterion_main!(micro);

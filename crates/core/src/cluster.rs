@@ -72,6 +72,8 @@ pub enum ClusterError {
     /// margin is exhausted, so accepting data would risk silent loss on the
     /// next failure (`ys-heal`).
     ReadOnly,
+    /// A read or write of zero bytes: there is no page to address.
+    EmptyRequest,
 }
 
 impl std::fmt::Display for ClusterError {
@@ -91,6 +93,7 @@ impl std::fmt::Display for ClusterError {
             ClusterError::ReadOnly => {
                 write!(f, "governor: cluster read-only — replica margin exhausted, write refused")
             }
+            ClusterError::EmptyRequest => write!(f, "zero-length request"),
         }
     }
 }
@@ -762,23 +765,6 @@ impl BladeCluster {
         Ok((done, mismatches))
     }
 
-    /// Verified charge that refuses to propagate rot: the first mismatch
-    /// becomes an explicit [`ClusterError::Integrity`]. Used by the
-    /// foreground fill paths.
-    fn charge_plan_strict(
-        &mut self,
-        group: usize,
-        blade: usize,
-        start: SimTime,
-        plan: &IoPlan,
-    ) -> Result<SimTime, ClusterError> {
-        let (done, mismatches) = self.charge_plan_verified(group, blade, start, plan)?;
-        if let Some(m) = mismatches.first() {
-            return Err(ClusterError::Integrity { disk: m.disk, offset: m.offset });
-        }
-        Ok(done)
-    }
-
     /// This group's slice of the global failed-disk mask.
     fn group_failed(&self, group: usize) -> Vec<bool> {
         let g = &self.groups[group];
@@ -826,7 +812,9 @@ impl BladeCluster {
         offset: u64,
         len: u64,
     ) -> Result<Completion, ClusterError> {
-        assert!(len > 0);
+        if len == 0 {
+            return Err(ClusterError::EmptyRequest);
+        }
         self.advance(now);
         self.cache.trace_mut().set_now(now);
         let pb = self.cfg.page_bytes;
@@ -846,66 +834,33 @@ impl BladeCluster {
             let lo = offset.max(page_off);
             let hi = (offset + len).min(page_off + pb);
             let piece = hi - lo;
-            let outcome = self.cache.read(blade, key).map_err(ClusterError::Cache)?;
+            // Installing a remote copy may need room on a blade full of
+            // dirty pages: back-pressure delays this page, as for writes.
+            let (outcome, t) = self.with_backpressure(blade, t0, |c| c.read(blade, key))?;
             let page_done = match outcome {
                 ReadOutcome::LocalHit => {
                     self.stats.reads_from_local_cache += 1;
-                    self.cpus[blade].transfer(t0, piece).arrival
+                    self.cpus[blade].transfer(t, piece).arrival
                 }
-                ReadOutcome::RemoteHit { from } => {
-                    if self.cfg.remote_cache_supply {
-                        self.stats.reads_from_remote_cache += 1;
-                        let hop = self.cluster_fabric.send(t0, from, blade, pb).arrival;
-                        self.cpus[blade].transfer(hop, piece).arrival
-                    } else {
-                        // Ablation: partitioned controllers — the peer's
-                        // copy is invisible, pay the full disk path.
-                        self.stats.reads_from_disk += 1;
-                        let (gi, _) = Self::decode_vol(vol);
-                        let failed = self.group_failed(gi);
-                        let geo = self.groups[gi].geo;
-                        let pieces = self.map_segments(vol, page_off, pb, false)?;
-                        let mut disk_done = t0;
-                        for (phys, plen) in pieces {
-                            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
-                            disk_done = disk_done.max(self.charge_plan_strict(gi, blade, t0, &plan)?);
-                        }
-                        self.check_page_tag(vol, page)?;
-                        let dec = self.crypt_time(pb, self.cfg.encryption.at_rest);
-                        self.cpus[blade].transfer(disk_done + dec, piece).arrival
-                    }
+                ReadOutcome::RemoteHit { from } if self.cfg.remote_cache_supply => {
+                    self.stats.reads_from_remote_cache += 1;
+                    let hop = self.cluster_fabric.send(t, from, blade, pb).arrival;
+                    self.cpus[blade].transfer(hop, piece).arrival
                 }
+                // Ablation: partitioned controllers — the peer's copy is
+                // invisible, pay the full disk path.
+                ReadOutcome::RemoteHit { .. } => self.read_page_from_disk(blade, vol, page, t, piece)?,
                 ReadOutcome::Miss => {
                     // A prefetch may already have this page in flight:
                     // join it rather than re-reading the disks.
-                    if let Some(&(arrival, _)) = self.inflight_fills.get(&(key.volume, key.page)) {
+                    let filled = if let Some((arrival, _)) = self.inflight_fills.remove(&(key.volume, key.page)) {
                         self.stats.prefetch_hits += 1;
-                        self.inflight_fills.remove(&(key.volume, key.page));
-                        let ready = t0.max(SimTime(arrival));
-                        let filled = self.cpus[blade].transfer(ready, piece).arrival;
-                        self.fill_with_backpressure(blade, key, Retention::Normal, filled)?;
-                        filled
+                        self.cpus[blade].transfer(t.max(SimTime(arrival)), piece).arrival
                     } else {
-                        self.stats.reads_from_disk += 1;
-                        // Fetch the whole page from disk through RAID.
-                        let (gi, _) = Self::decode_vol(vol);
-                        let failed = self.group_failed(gi);
-                        let geo = self.groups[gi].geo;
-                        let pieces = self.map_segments(vol, page_off, pb, false)?;
-                        let mut disk_done = t0;
-                        for (phys, plen) in pieces {
-                            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
-                            disk_done = disk_done.max(self.charge_plan_strict(gi, blade, t0, &plan)?);
-                        }
-                        // Real data plane: the media bytes must decipher
-                        // back to the expected plaintext.
-                        self.check_page_tag(vol, page)?;
-                        // At-rest decryption on the way up.
-                        let dec = self.crypt_time(pb, self.cfg.encryption.at_rest);
-                        let filled = self.cpus[blade].transfer(disk_done + dec, piece).arrival;
-                        self.fill_with_backpressure(blade, key, Retention::Normal, filled)?;
-                        filled
-                    }
+                        self.read_page_from_disk(blade, vol, page, t, piece)?
+                    };
+                    self.with_backpressure(blade, filled, |c| c.fill(blade, key, Retention::Normal))?;
+                    filled
                 }
             };
             data_ready = data_ready.max(page_done);
@@ -934,10 +889,6 @@ impl BladeCluster {
     /// `vol` starting at `from_page`; they land in the cache at their disk
     /// arrival time (see [`BladeCluster::advance`]).
     fn issue_readahead(&mut self, blade: usize, vol: VolumeId, from_page: u64, at: SimTime) -> Result<(), ClusterError> {
-        let pb = self.cfg.page_bytes;
-        let (gi, _) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
-        let geo = self.groups[gi].geo;
         for page in from_page..from_page + self.cfg.prefetch_pages as u64 {
             let key = PageKey::new(vol.0, page);
             if self.inflight_fills.contains_key(&(key.volume, key.page)) {
@@ -946,54 +897,76 @@ impl BladeCluster {
             if self.cache.directory().get(&key).map(|e| e.is_cached_anywhere()).unwrap_or(false) {
                 continue;
             }
-            // Only prefetch mapped data.
-            let pieces = match self.map_segments(vol, page * pb, pb, false) {
-                Ok(p) if !p.is_empty() => p,
-                _ => continue,
-            };
-            let mut arrival = at;
-            let mut ok = true;
-            for (phys, plen) in pieces {
-                match ys_raid::read_plan(&geo, phys, plen, &failed) {
-                    // Verified: a prefetched page that fails its checksum
-                    // must never land in cache as if it were good data —
-                    // the fill is dropped and the later foreground miss
-                    // surfaces the mismatch explicitly.
-                    Ok(plan) => match self.charge_plan_verified(gi, blade, at, &plan) {
-                        Ok((d, mismatches)) if mismatches.is_empty() => arrival = arrival.max(d),
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
+            // Only prefetch mapped data, and only if every read verified: a
+            // prefetched page that fails its checksum must never land in
+            // cache as if it were good data — the fill is dropped and the
+            // later foreground miss surfaces the mismatch explicitly.
+            if let Ok(Some(fetched)) = self.fetch_page(blade, vol, page, at) {
+                if fetched.mismatches.is_empty() {
+                    self.inflight_fills.insert((key.volume, key.page), (fetched.done.nanos(), blade));
+                    self.stats.prefetches_issued += 1;
                 }
-            }
-            if ok {
-                self.inflight_fills.insert((key.volume, key.page), (arrival.nanos(), blade));
-                self.stats.prefetches_issued += 1;
             }
         }
         Ok(())
     }
 
-    fn fill_with_backpressure(
+    /// The one disk-fetch path: read volume page `page` through the RAID
+    /// read plan of each mapped piece, charging member reads from `start`
+    /// via `blade`'s disk link with checksum verification. `None` for an
+    /// unmapped page (nothing is charged); otherwise when the last piece
+    /// arrived and every read that hit rotten media.
+    fn fetch_page(&mut self, blade: usize, vol: VolumeId, page: u64, start: SimTime) -> Result<Option<PageVerify>, ClusterError> {
+        let pb = self.cfg.page_bytes;
+        let (gi, _) = Self::decode_vol(vol);
+        let failed = self.group_failed(gi);
+        let geo = self.groups[gi].geo;
+        let pieces = self.map_segments(vol, page * pb, pb, false)?;
+        if pieces.is_empty() {
+            return Ok(None);
+        }
+        let mut fetched = PageVerify { done: start, mismatches: Vec::new() };
+        for (phys, plen) in pieces {
+            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
+            let (done, mut mismatches) = self.charge_plan_verified(gi, blade, start, &plan)?;
+            fetched.done = fetched.done.max(done);
+            fetched.mismatches.append(&mut mismatches);
+        }
+        Ok(Some(fetched))
+    }
+
+    /// Foreground read of one page from disk: fetch it, refuse rot, check
+    /// that the media bytes decipher to the expected plaintext, decrypt,
+    /// and hand `piece` bytes through the blade CPU.
+    fn read_page_from_disk(&mut self, blade: usize, vol: VolumeId, page: u64, start: SimTime, piece: u64) -> Result<SimTime, ClusterError> {
+        self.stats.reads_from_disk += 1;
+        let mut done = start;
+        if let Some(fetched) = self.fetch_page(blade, vol, page, start)? {
+            if let Some(m) = fetched.mismatches.first() {
+                return Err(ClusterError::Integrity { disk: m.disk, offset: m.offset });
+            }
+            done = fetched.done;
+        }
+        self.check_page_tag(vol, page)?;
+        let dec = self.crypt_time(self.cfg.page_bytes, self.cfg.encryption.at_rest);
+        Ok(self.cpus[blade].transfer(done + dec, piece).arrival)
+    }
+
+    /// Run a cache operation that may stall on a blade full of dirty
+    /// pages: each stall forces the earliest pending destage and retries at
+    /// its completion time. Returns the result and when the operation ran.
+    fn with_backpressure<T>(
         &mut self,
         blade: usize,
-        key: PageKey,
-        retention: Retention,
         mut t: SimTime,
-    ) -> Result<SimTime, ClusterError> {
+        mut op: impl FnMut(&mut CacheCluster) -> Result<T, CacheError>,
+    ) -> Result<(T, SimTime), ClusterError> {
         loop {
-            match self.cache.fill(blade, key, retention) {
-                Ok(_) => return Ok(t),
-                Err(CacheError::EvictionStall(_)) => match self.force_one_destage(t) {
-                    Some(nt) => t = nt,
-                    None => return Err(ClusterError::Cache(CacheError::EvictionStall(blade))),
-                },
+            match op(&mut self.cache) {
+                Ok(v) => return Ok((v, t)),
+                Err(CacheError::EvictionStall(_)) => {
+                    t = self.force_one_destage(t).ok_or(ClusterError::Cache(CacheError::EvictionStall(blade)))?;
+                }
                 Err(e) => return Err(ClusterError::Cache(e)),
             }
         }
@@ -1013,7 +986,9 @@ impl BladeCluster {
         copies: usize,
         retention: Retention,
     ) -> Result<Completion, ClusterError> {
-        assert!(len > 0);
+        if len == 0 {
+            return Err(ClusterError::EmptyRequest);
+        }
         self.advance(now);
         self.cache.trace_mut().set_now(now);
         let (tgi, _) = Self::decode_vol(vol);
@@ -1044,15 +1019,8 @@ impl BladeCluster {
         for page in first_page..=last_page {
             let key = PageKey::new(vol.0, page);
             // Cache write with backpressure on dirty saturation.
-            let (outcome, t_cache) = loop {
-                match self.cache.write(blade, key, copies, retention) {
-                    Ok(o) => break (o, t),
-                    Err(CacheError::EvictionStall(_)) => {
-                        t = self.force_one_destage(t).ok_or(ClusterError::Cache(CacheError::EvictionStall(blade)))?;
-                    }
-                    Err(e) => return Err(ClusterError::Cache(e)),
-                }
-            };
+            let (outcome, t_cache) = self.with_backpressure(blade, t, |c| c.write(blade, key, copies, retention))?;
+            t = t_cache;
             // Governed writes that land below their requested protection
             // level are a policy downgrade: audit it explicitly.
             if self.cfg.health_governor && outcome.replicas.len() + 1 < copies {
@@ -1409,20 +1377,7 @@ impl BladeCluster {
         vol: VolumeId,
         page: u64,
     ) -> Result<PageVerify, ClusterError> {
-        let pb = self.cfg.page_bytes;
-        let (gi, _) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
-        let geo = self.groups[gi].geo;
-        let pieces = self.map_segments(vol, page * pb, pb, false)?;
-        let mut done = now;
-        let mut mismatches = Vec::new();
-        for (phys, plen) in pieces {
-            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
-            let (d, mut m) = self.charge_plan_verified(gi, blade, now, &plan)?;
-            done = done.max(d);
-            mismatches.append(&mut m);
-        }
-        Ok(PageVerify { done, mismatches })
+        Ok(self.fetch_page(blade, vol, page, now)?.unwrap_or(PageVerify { done: now, mismatches: Vec::new() }))
     }
 
     /// Scrub repair, source 1: reconstruct the rotten span on `disk` from
@@ -1821,6 +1776,28 @@ mod tests {
             c.fail_blade(SimTime::ZERO, b);
         }
         assert!(matches!(c.read(SimTime::ZERO, 0, vol, 0, 4096), Err(ClusterError::NoBladesUp)));
+    }
+
+    #[test]
+    fn remote_hit_on_a_dirty_full_blade_applies_backpressure() {
+        // Two blades served round-robin (blade 1 first), four pages each,
+        // every write un-replicated and issued at t = 0 so no destage has
+        // landed yet: both blades end up full of dirty pages.
+        let cfg = ClusterConfig::default().with_blades(2).with_disks(8).with_clients(2).with_cache_pages(4);
+        let mut c = BladeCluster::new(cfg);
+        let vol = c.create_volume("t", 0, 1 << 30).unwrap();
+        let pb = c.config().page_bytes;
+        for i in 0..4 {
+            c.write(SimTime::ZERO, 0, vol, (100 + i) * pb, pb, 1, Retention::Normal).unwrap();
+            c.write(SimTime::ZERO, 0, vol, i * pb, pb, 1, Retention::Normal).unwrap();
+        }
+        // Blade 1 serves a local hit, then blade 0 reads page 100, which
+        // only blade 1 holds: installing the remote copy must wait for a
+        // destage to free a slot, not fail.
+        c.read(SimTime::ZERO, 0, vol, 101 * pb, pb).unwrap();
+        let r = c.read(SimTime::ZERO, 0, vol, 100 * pb, pb).unwrap();
+        assert_eq!(c.stats.reads_from_remote_cache, 1);
+        assert!(r.latency > SimDuration::from_millis(1), "the read waited for a destage: {}", r.latency);
     }
 
     #[test]

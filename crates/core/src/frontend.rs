@@ -438,6 +438,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_sector_commands_fail_without_panicking() {
+        let mut cluster = BladeCluster::new(ClusterConfig::default().with_blades(2).with_disks(8).with_clients(2));
+        let vol = cluster.create_volume("lun0", 1, 1 << 30).unwrap();
+        let mut target = zoned_target(1);
+        target.mask.grant(InitiatorId(1), vol);
+        for cmd in [BlockCmd::Read { lun: 0, lba: 0, sectors: 0 }, BlockCmd::Write { lun: 0, lba: 0, sectors: 0 }] {
+            let r = target.handle(&mut cluster, InitiatorId(1), 0, 0, SimTime::ZERO, block::encode(&cmd));
+            assert_ne!(r.status, BlockStatus::Good, "{cmd:?}");
+        }
+        assert_eq!(target.stats.errors, 2);
+        let empty = cluster.write(SimTime::ZERO, 0, vol, 0, 0, 1, Retention::Normal);
+        assert!(matches!(empty, Err(crate::cluster::ClusterError::EmptyRequest)));
+        assert!(matches!(cluster.read(SimTime::ZERO, 0, vol, 0, 0), Err(crate::cluster::ClusterError::EmptyRequest)));
+    }
+
+    #[test]
     fn unzoned_or_disk_side_ingress_is_a_breach() {
         let mut cluster = BladeCluster::new(ClusterConfig::default().with_blades(2).with_disks(8));
         let vol = cluster.create_volume("lun0", 1, 1 << 30).unwrap();

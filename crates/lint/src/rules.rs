@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose library code must fail with typed errors, never panics.
 pub const PANIC_CRATES: &[&str] =
-    &["cache", "virt", "simcore", "qos", "chaos", "scrub", "security", "heal"];
+    &["cache", "virt", "simcore", "qos", "chaos", "scrub", "security", "heal", "sweep"];
 
 /// Crates whose state feeds seeded replay: iterating a hashed container
 /// there lets the process-random hasher seed reorder events between runs.

@@ -1,7 +1,7 @@
 //! Failure-injection plans.
 //!
 //! A [`FaultPlan`] is an ordered schedule of component failures and repairs
-//! that an experiment replays into its event queue, so fault scenarios are
+//! that an experiment replays in time order, so fault scenarios are
 //! part of the deterministic configuration rather than ad-hoc test code.
 
 use crate::time::SimTime;

@@ -1,6 +1,6 @@
-//! Measurement instruments: counters, latency histograms, rate meters, and
-//! time-weighted gauges. Every experiment reports through these so that the
-//! bench harness and the tests read identical numbers.
+//! Measurement instruments: counters, latency histograms, and rate meters.
+//! Every experiment reports through these so that the bench harness and the
+//! tests read identical numbers.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -274,60 +274,6 @@ impl RateMeter {
     }
 }
 
-/// Tracks a level (queue depth, utilization) weighted by how long it held
-/// each value; yields the time-average.
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    level: f64,
-    last_change: SimTime,
-    weighted_sum: f64,
-    start: SimTime,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    pub fn new(start: SimTime, initial: f64) -> TimeWeighted {
-        TimeWeighted {
-            level: initial,
-            last_change: start,
-            weighted_sum: 0.0,
-            start,
-            peak: initial,
-        }
-    }
-
-    pub fn set(&mut self, at: SimTime, level: f64) {
-        debug_assert!(at >= self.last_change);
-        self.weighted_sum += self.level * at.since(self.last_change).as_secs_f64();
-        self.level = level;
-        self.last_change = at;
-        self.peak = self.peak.max(level);
-    }
-
-    pub fn add(&mut self, at: SimTime, delta: f64) {
-        let next = self.level + delta;
-        self.set(at, next);
-    }
-
-    pub fn current(&self) -> f64 {
-        self.level
-    }
-
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Time-average of the level over `[start, until]`.
-    pub fn average(&self, until: SimTime) -> f64 {
-        let total = until.since(self.start).as_secs_f64();
-        if total == 0.0 {
-            return self.level;
-        }
-        let pending = self.level * until.since(self.last_change).as_secs_f64();
-        (self.weighted_sum + pending) / total
-    }
-}
-
 /// A labelled series of (x, y) points — the exact shape every bench prints.
 #[derive(Clone, Debug, Default)]
 pub struct Series {
@@ -494,17 +440,6 @@ mod tests {
         r.record(SimTime(1_000_000_000), 100_000_000);
         assert!((r.mb_per_sec() - 100.0).abs() < 1e-9);
         assert!((r.iops() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut g = TimeWeighted::new(SimTime(0), 0.0);
-        g.set(SimTime(1_000_000_000), 10.0); // level 0 for 1s
-        g.set(SimTime(3_000_000_000), 0.0); // level 10 for 2s
-        // average over 4s = (0*1 + 10*2 + 0*1)/4 = 5
-        let avg = g.average(SimTime(4_000_000_000));
-        assert!((avg - 5.0).abs() < 1e-9, "avg {avg}");
-        assert_eq!(g.peak(), 10.0);
     }
 
     #[test]

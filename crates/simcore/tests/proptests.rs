@@ -1,35 +1,9 @@
 //! Property-based tests for the simulation substrate.
 
 use proptest::prelude::*;
-use ys_simcore::{Bandwidth, Engine, LatencyHisto, Rng, SimDuration, SimTime, Zipf};
+use ys_simcore::{Bandwidth, LatencyHisto, Rng, SimDuration, Zipf};
 
 proptest! {
-    /// Events always pop in non-decreasing time order, whatever the insertion order.
-    #[test]
-    fn engine_pops_in_time_order(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut e: Engine<usize> = Engine::new();
-        for (i, &t) in times.iter().enumerate() {
-            e.schedule_at(SimTime(t), i);
-        }
-        let mut last = 0u64;
-        while let Some((t, _)) = e.pop() {
-            prop_assert!(t.nanos() >= last);
-            last = t.nanos();
-        }
-        prop_assert_eq!(e.dispatched(), times.len() as u64);
-    }
-
-    /// Equal-time events preserve insertion order (FIFO at an instant).
-    #[test]
-    fn engine_fifo_at_same_instant(n in 1usize..100) {
-        let mut e: Engine<usize> = Engine::new();
-        for i in 0..n {
-            e.schedule_at(SimTime(42), i);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-    }
-
     /// Histogram quantile lower-bounds never exceed the recorded max and the
     /// quantile function is monotone in q.
     #[test]

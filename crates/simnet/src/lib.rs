@@ -22,5 +22,5 @@ pub mod link;
 pub mod sched;
 
 pub use fabric::{Fabric, PortId, SharedBus};
-pub use link::{frames, path_transfer, DuplexLink, Link, LinkSpec, Transfer};
+pub use link::{DuplexLink, Link, LinkSpec, Transfer};
 pub use sched::{FairPort, Served};

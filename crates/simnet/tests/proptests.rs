@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use ys_simcore::time::{Bandwidth, SimDuration, SimTime};
-use ys_simnet::{frames, Fabric, Link, LinkSpec};
+use ys_simnet::{Fabric, Link, LinkSpec};
 
 fn spec(gbps: u64, prop_us: u64, per_msg_ns: u64) -> LinkSpec {
     LinkSpec::new(
@@ -56,20 +56,6 @@ proptest! {
         prop_assert_eq!(last.nanos(), expected_busy.nanos());
         let u = link.utilization(last);
         prop_assert!((u - 1.0).abs() < 1e-9, "back-to-back link must be 100% busy, got {u}");
-    }
-
-    /// frames() tiles any total exactly, with every frame ≤ frame size.
-    #[test]
-    fn frames_tile_exactly(total in 0u64..100_000_000, frame in 1u64..10_000_000) {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for f in frames(total, frame) {
-            prop_assert!(f > 0 && f <= frame);
-            sum += f;
-            count += 1;
-        }
-        prop_assert_eq!(sum, total);
-        prop_assert_eq!(count, total.div_ceil(frame));
     }
 
     /// Fabric conservation: bytes leaving egress ports equal bytes entering

@@ -1,0 +1,8 @@
+//! `ys-heal` — run the seeded fail → heal → fail-again campaign.
+//!
+//! Flags, output and exit codes come from the one campaign harness,
+//! [`ys_sweep::campaign`].
+
+fn main() -> std::process::ExitCode {
+    ys_sweep::campaign::main::<ys_heal::CampaignConfig>()
+}

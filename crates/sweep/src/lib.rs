@@ -10,9 +10,13 @@
 //! `ys-sweep --jobs 16` and `--jobs 1` print the same bytes, and
 //! `scripts/check.sh` compares them on every run.
 //!
-//! Threads live only here (and the channel/mutex shims they use); the
-//! simulation crates remain thread-free and clock-free, which keeps the
-//! `ys-lint` ambient-entropy rule meaningful.
+//! Threads live only here, on `std::thread::scope`; the simulation crates
+//! remain thread-free and clock-free, which keeps the `ys-lint`
+//! ambient-entropy rule meaningful.
+//!
+//! The [`campaign`] module is the one campaign harness: the `ys-chaos`,
+//! `ys-scrub` and `ys-heal` binaries of this crate and the matching sweep
+//! modes all run through it.
 //!
 //! The [`snapshot`] module emits `BENCH_baseline.json` — the
 //! perf-trajectory baseline separating machine-independent simulation
@@ -20,10 +24,12 @@
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod pool;
 pub mod shard;
 pub mod snapshot;
 
 pub use pool::{default_threads, run_sweep};
-pub use shard::{bench_sweep, chaos_sweep, check_sweep, heal_sweep, scrub_sweep, SweepOutcome};
+pub use campaign::{campaign_sweep, SeededCampaign};
+pub use shard::{bench_sweep, check_sweep, SweepOutcome};
 pub use snapshot::{collect, diff, render, strip_host_lines, Scenario, SCHEMA};

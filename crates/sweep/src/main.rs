@@ -9,10 +9,9 @@
 //! timers into the snapshot collector; the library stays clock-free.
 
 use std::process::ExitCode;
-use ys_sweep::{
-    bench_sweep, chaos_sweep, check_sweep, default_threads, heal_sweep, scrub_sweep, snapshot,
-    SweepOutcome,
-};
+use ys_chaos::RunOptions;
+use ys_sweep::campaign::parse_value;
+use ys_sweep::{bench_sweep, campaign_sweep, check_sweep, default_threads, snapshot, SweepOutcome};
 
 const USAGE: &str = "\
 ys-sweep: parallel deterministic multi-seed runner
@@ -67,8 +66,17 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
+enum Mode {
+    Chaos,
+    Scrub,
+    Heal,
+    Check,
+    Bench,
+    Snapshot,
+}
+
 struct Args {
-    mode: String,
+    mode: Mode,
     seeds: Option<Vec<u64>>,
     steps: u64,
     fatal: bool,
@@ -84,9 +92,14 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
-    let mode = match it.next() {
-        Some(m) if matches!(m.as_str(), "chaos" | "scrub" | "heal" | "check" | "bench" | "snapshot") => m,
-        Some(m) if matches!(m.as_str(), "-h" | "--help") => return Err(String::new()),
+    let mode = match it.next().as_deref() {
+        Some("chaos") => Mode::Chaos,
+        Some("scrub") => Mode::Scrub,
+        Some("heal") => Mode::Heal,
+        Some("check") => Mode::Check,
+        Some("bench") => Mode::Bench,
+        Some("snapshot") => Mode::Snapshot,
+        Some("-h" | "--help") => return Err(String::new()),
         Some(m) => return Err(format!("unknown mode {m}")),
         None => return Err("missing mode".into()),
     };
@@ -105,38 +118,22 @@ fn parse_args() -> Result<Args, String> {
         jobs: default_threads(),
     };
     while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        let mut val = || it.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--seeds" => args.seeds = Some(parse_seeds(&val("--seeds")?)?),
-            "--steps" => {
-                let v = val("--steps")?;
-                args.steps = v.parse().map_err(|_| format!("bad --steps {v}"))?;
-            }
+            "--seeds" => args.seeds = Some(parse_seeds(&val()?)?),
+            "--steps" => args.steps = parse_value(&a, &val()?)?,
             "--fatal" => args.fatal = true,
-            "--errors" => {
-                let v = val("--errors")?;
-                args.errors = v.parse().map_err(|_| format!("bad --errors {v}"))?;
-            }
-            "--writes" => {
-                let v = val("--writes")?;
-                args.writes = v.parse().map_err(|_| format!("bad --writes {v}"))?;
-            }
+            "--errors" => args.errors = parse_value(&a, &val()?)?,
+            "--writes" => args.writes = parse_value(&a, &val()?)?,
             "--models" => {
-                args.models = val("--models")?.split(',').filter(|m| !m.is_empty()).map(String::from).collect();
+                args.models = val()?.split(',').filter(|m| !m.is_empty()).map(String::from).collect();
             }
-            "--depth" => {
-                let v = val("--depth")?;
-                args.depth = v.parse().map_err(|_| format!("bad --depth {v}"))?;
-            }
-            "--max-states" => {
-                let v = val("--max-states")?;
-                args.max_states = v.parse().map_err(|_| format!("bad --max-states {v}"))?;
-            }
-            "--out" => args.out = val("--out")?,
+            "--depth" => args.depth = parse_value(&a, &val()?)?,
+            "--max-states" => args.max_states = parse_value(&a, &val()?)?,
+            "--out" => args.out = val()?,
             "--check" => args.check_drift = true,
             "--jobs" => {
-                let v = val("--jobs")?;
-                args.jobs = v.parse().map_err(|_| format!("bad --jobs {v}"))?;
+                args.jobs = parse_value(&a, &val()?)?;
                 if args.jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }
@@ -149,7 +146,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run_snapshot(args: &Args) -> Result<bool, String> {
-    let snap = snapshot::render(&snapshot::collect(args.jobs, &wall_clock()));
+    let snap = snapshot::render(&snapshot::collect(args.jobs, &wall_clock())?);
     if args.check_drift {
         let baseline = std::fs::read_to_string(&args.out)
             .map_err(|e| format!("cannot read baseline {}: {e}", args.out))?;
@@ -184,46 +181,32 @@ fn main() -> ExitCode {
         }
     };
 
-    let ok = match args.mode.as_str() {
-        "chaos" => {
-            let seeds = args.seeds.clone().unwrap_or_else(|| (1..5).collect());
-            let SweepOutcome { report, ok } = chaos_sweep(&seeds, args.steps, args.fatal, args.jobs);
-            print!("{report}");
-            ok
+    let seeds = |default: std::ops::Range<u64>| args.seeds.clone().unwrap_or_else(|| default.collect());
+    let outcome = match args.mode {
+        Mode::Chaos => {
+            let chaos = RunOptions { seed: 0, steps: args.steps, fatal: args.fatal, keep: None };
+            campaign_sweep(&chaos, &seeds(1..5), args.jobs)
         }
-        "scrub" => {
-            let seeds = args.seeds.clone().unwrap_or_else(|| (1..5).collect());
-            let SweepOutcome { report, ok } = scrub_sweep(&seeds, args.errors, args.jobs);
-            print!("{report}");
-            ok
+        Mode::Scrub => {
+            let scrub = ys_scrub::CampaignConfig { seed: 0, errors: args.errors };
+            campaign_sweep(&scrub, &seeds(1..5), args.jobs)
         }
-        "heal" => {
-            let seeds = args.seeds.clone().unwrap_or_else(|| (1..5).collect());
-            let SweepOutcome { report, ok } = heal_sweep(&seeds, args.writes, args.jobs);
-            print!("{report}");
-            ok
+        Mode::Heal => {
+            let heal = ys_heal::CampaignConfig { seed: 0, writes: args.writes };
+            campaign_sweep(&heal, &seeds(1..5), args.jobs)
         }
-        "check" => {
-            let SweepOutcome { report, ok } =
-                check_sweep(&args.models, args.depth, args.max_states, args.jobs);
-            print!("{report}");
-            ok
-        }
-        "bench" => {
-            let seeds = args.seeds.clone().unwrap_or_else(|| (1..9).collect());
-            let SweepOutcome { report, ok } = bench_sweep(&seeds, args.jobs);
-            print!("{report}");
-            ok
-        }
-        "snapshot" => match run_snapshot(&args) {
-            Ok(ok) => ok,
+        Mode::Check => check_sweep(&args.models, args.depth, args.max_states, args.jobs),
+        Mode::Bench => bench_sweep(&seeds(1..9), args.jobs),
+        Mode::Snapshot => match run_snapshot(&args) {
+            Ok(ok) => SweepOutcome { report: String::new(), ok },
             Err(e) => {
                 eprintln!("ys-sweep: {e}");
-                false
+                SweepOutcome { report: String::new(), ok: false }
             }
         },
-        _ => unreachable!("parse_args validated the mode"),
     };
+    print!("{}", outcome.report);
+    let ok = outcome.ok;
     if ok {
         ExitCode::SUCCESS
     } else {

@@ -4,11 +4,11 @@
 //! Every shard is a pure function of its input (a seed or a model name),
 //! so the merged report is byte-identical whether shards ran on one worker
 //! or sixteen. That identity is what `scripts/check.sh` compares and what
-//! `tests/determinism.rs` pins.
+//! `tests/determinism.rs` pins. Campaign sweeps (chaos, scrub, heal) merge
+//! through [`crate::campaign::campaign_sweep`].
 
 use crate::pool::run_sweep;
 use std::fmt::Write as _;
-use ys_chaos::{run_rendered, RunOptions};
 use ys_check::run_standard;
 
 /// A merged sweep: the full rendered report plus the aggregate verdict.
@@ -20,94 +20,13 @@ pub struct SweepOutcome {
     pub ok: bool,
 }
 
-/// Fan one fault campaign per seed across `jobs` workers.
-///
-/// Each shard regenerates its schedule from its seed and renders exactly
-/// what a serial `ys-chaos --seed N` prints (transcript, verdict, and — on
-/// failure — the shrunk reproducer).
-pub fn chaos_sweep(seeds: &[u64], steps: u64, fatal: bool, jobs: usize) -> SweepOutcome {
-    let runs = run_sweep(seeds.to_vec(), jobs, |&seed| {
-        let opts = RunOptions { seed, steps, fatal, keep: None };
-        run_rendered(&opts)
-    });
-    let mut report = String::new();
-    let mut ok = true;
-    for (seed, run) in seeds.iter().zip(&runs) {
-        let _ = writeln!(report, "=== ys-chaos seed {seed} ===");
-        report.push_str(&run.transcript);
-        let _ = writeln!(report, "ys-chaos: seed {seed} {}", if run.ok { "PASS" } else { "FAIL" });
-        ok &= run.ok;
-    }
-    let _ = writeln!(
-        report,
-        "ys-sweep: {} campaigns, {} failed",
-        seeds.len(),
-        runs.iter().filter(|r| !r.ok).count()
-    );
-    SweepOutcome { report, ok }
-}
-
-/// Fan one end-to-end integrity campaign per seed across `jobs` workers.
-///
-/// Each shard runs `ys_scrub::run_campaign` for its seed and renders
-/// exactly what a serial `ys-scrub --seed N` prints (transcript and
-/// verdict), so the merged report is byte-identical for every `--jobs`
-/// value.
-pub fn scrub_sweep(seeds: &[u64], errors: usize, jobs: usize) -> SweepOutcome {
-    let runs = run_sweep(seeds.to_vec(), jobs, |&seed| {
-        ys_scrub::run_campaign(&ys_scrub::CampaignConfig { seed, errors })
-    });
-    let mut report = String::new();
-    let mut ok = true;
-    for (seed, run) in seeds.iter().zip(&runs) {
-        let _ = writeln!(report, "=== ys-scrub seed {seed} ===");
-        let _ = write!(report, "{run}");
-        let _ = writeln!(report, "ys-scrub: seed {seed} {}", if run.ok { "PASS" } else { "FAIL" });
-        ok &= run.ok;
-    }
-    let _ = writeln!(
-        report,
-        "ys-sweep: {} campaigns, {} failed",
-        seeds.len(),
-        runs.iter().filter(|r| !r.ok).count()
-    );
-    SweepOutcome { report, ok }
-}
-
-/// Fan one blade-lifecycle campaign per seed across `jobs` workers.
-///
-/// Each shard runs `ys_heal::run_campaign` for its seed and renders
-/// exactly what a serial `ys-heal --seed N` prints (transcript and
-/// verdict), so the merged report is byte-identical for every `--jobs`
-/// value.
-pub fn heal_sweep(seeds: &[u64], writes: usize, jobs: usize) -> SweepOutcome {
-    let runs = run_sweep(seeds.to_vec(), jobs, |&seed| {
-        ys_heal::run_campaign(&ys_heal::CampaignConfig { seed, writes })
-    });
-    let mut report = String::new();
-    let mut ok = true;
-    for (seed, run) in seeds.iter().zip(&runs) {
-        let _ = writeln!(report, "=== ys-heal seed {seed} ===");
-        let _ = write!(report, "{run}");
-        let _ = writeln!(report, "ys-heal: seed {seed} {}", if run.ok { "PASS" } else { "FAIL" });
-        ok &= run.ok;
-    }
-    let _ = writeln!(
-        report,
-        "ys-sweep: {} campaigns, {} failed",
-        seeds.len(),
-        runs.iter().filter(|r| !r.ok).count()
-    );
-    SweepOutcome { report, ok }
-}
-
 /// Fan the named standard model checks across `jobs` workers.
 ///
 /// Each shard runs one bounded exploration through
 /// [`ys_check::run_standard`], so its section matches a serial `ys-check`
 /// invocation byte for byte (library runs report `elapsed 0.00s`).
 pub fn check_sweep(models: &[String], depth: usize, max_states: usize, jobs: usize) -> SweepOutcome {
-    let runs = run_sweep(models.to_vec(), jobs, |model| run_standard(model, depth, max_states));
+    let runs = run_sweep(models, jobs, |model| run_standard(model, depth, max_states));
     let mut report = String::new();
     let mut ok = true;
     let mut violations = 0usize;
@@ -135,7 +54,7 @@ pub fn check_sweep(models: &[String], depth: usize, max_states: usize, jobs: usi
 /// `jobs` workers, then merge through the same aggregation code path the
 /// serial `ys_bench::experiments::seed_sweep` uses.
 pub fn bench_sweep(seeds: &[u64], jobs: usize) -> SweepOutcome {
-    let results = run_sweep(seeds.to_vec(), jobs, |&seed| ys_bench::experiments::seed_run(seed));
+    let results = run_sweep(seeds, jobs, |&seed| ys_bench::experiments::seed_run(seed));
     let series = ys_bench::experiments::summarize_seed_sweep(seeds, &results);
     let mut report = String::new();
     report.push_str(&series[0].render("seed", "MB/s"));
@@ -147,7 +66,7 @@ pub fn bench_sweep(seeds: &[u64], jobs: usize) -> SweepOutcome {
 /// Headline numbers from the benchmark sweep, for the snapshot: mean, min,
 /// and max MB/s over the seed set.
 pub fn bench_sweep_stats(seeds: &[u64], jobs: usize) -> (f64, f64, f64) {
-    let results = run_sweep(seeds.to_vec(), jobs, |&seed| ys_bench::experiments::seed_run(seed));
+    let results = run_sweep(seeds, jobs, |&seed| ys_bench::experiments::seed_run(seed));
     let mean = results.iter().sum::<f64>() / results.len().max(1) as f64;
     let min = results.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = results.iter().cloned().fold(0.0, f64::max);
@@ -157,6 +76,8 @@ pub fn bench_sweep_stats(seeds: &[u64], jobs: usize) -> (f64, f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::campaign_sweep;
+    use ys_chaos::RunOptions;
 
     fn models() -> Vec<String> {
         vec!["cache".into(), "qos".into()]
@@ -165,8 +86,9 @@ mod tests {
     #[test]
     fn chaos_sweep_parallel_is_byte_identical_to_serial() {
         let seeds = [1u64, 2, 3, 4];
-        let serial = chaos_sweep(&seeds, 16, false, 1);
-        let parallel = chaos_sweep(&seeds, 16, false, 4);
+        let chaos = RunOptions::new(0, 16);
+        let serial = campaign_sweep(&chaos, &seeds, 1);
+        let parallel = campaign_sweep(&chaos, &seeds, 4);
         assert_eq!(serial.report, parallel.report, "jobs count changed the merged report");
         assert!(serial.ok);
     }
@@ -174,8 +96,9 @@ mod tests {
     #[test]
     fn scrub_sweep_parallel_is_byte_identical_to_serial() {
         let seeds = [1u64, 2, 3];
-        let serial = scrub_sweep(&seeds, 56, 1);
-        let parallel = scrub_sweep(&seeds, 56, 3);
+        let scrub = ys_scrub::CampaignConfig { seed: 0, errors: 56 };
+        let serial = campaign_sweep(&scrub, &seeds, 1);
+        let parallel = campaign_sweep(&scrub, &seeds, 3);
         assert_eq!(serial.report, parallel.report, "jobs count changed the merged report");
         assert!(serial.ok, "{}", serial.report);
         assert!(serial.report.contains("=== ys-scrub seed 2 ==="));
@@ -184,8 +107,9 @@ mod tests {
     #[test]
     fn heal_sweep_parallel_is_byte_identical_to_serial() {
         let seeds = [1u64, 2, 3];
-        let serial = heal_sweep(&seeds, 32, 1);
-        let parallel = heal_sweep(&seeds, 32, 3);
+        let heal = ys_heal::CampaignConfig { seed: 0, writes: 32 };
+        let serial = campaign_sweep(&heal, &seeds, 1);
+        let parallel = campaign_sweep(&heal, &seeds, 3);
         assert_eq!(serial.report, parallel.report, "jobs count changed the merged report");
         assert!(serial.ok, "{}", serial.report);
         assert!(serial.report.contains("=== ys-heal seed 2 ==="));

@@ -13,7 +13,8 @@
 //! one place in this crate allowed to read real time); library callers
 //! pass `|| 0.0` and get a fully deterministic snapshot.
 
-use crate::shard::{bench_sweep_stats, chaos_sweep};
+use crate::campaign::campaign_sweep;
+use crate::shard::bench_sweep_stats;
 use std::fmt::Write as _;
 use ys_check::{run_standard, STANDARD_MODELS};
 
@@ -44,13 +45,13 @@ pub struct Scenario {
 
 /// Run every snapshot scenario with `jobs` workers. `clock` returns
 /// absolute host seconds (monotonic); pass `|| 0.0` for a clock-free run.
-pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
+/// Fails only if a standard model name is unknown to `ys-check`.
+pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Result<Vec<Scenario>, String> {
     let mut out = Vec::new();
 
     for model in STANDARD_MODELS {
         let t0 = clock();
-        let run = run_standard(model, CHECK_DEPTH, CHECK_MAX_STATES)
-            .expect("standard model list is self-consistent");
+        let run = run_standard(model, CHECK_DEPTH, CHECK_MAX_STATES)?;
         out.push(Scenario {
             name: format!("check_{model}"),
             sim: vec![
@@ -65,7 +66,7 @@ pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
     }
 
     let t0 = clock();
-    let chaos = chaos_sweep(&CHAOS_SEEDS, CHAOS_STEPS, false, jobs);
+    let chaos = campaign_sweep(&ys_chaos::RunOptions::new(0, CHAOS_STEPS), &CHAOS_SEEDS, jobs);
     out.push(Scenario {
         name: "chaos_sweep".into(),
         sim: vec![
@@ -90,7 +91,7 @@ pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
         host_wall_s: clock() - t0,
     });
 
-    out
+    Ok(out)
 }
 
 /// Render scenarios as the snapshot JSON document.
@@ -218,8 +219,8 @@ mod tests {
     fn collected_snapshot_is_deterministic_across_jobs() {
         // The real collector with a null clock: all host numbers are 0 and
         // the sim portion must not depend on worker count.
-        let a = render(&collect(1, &|| 0.0));
-        let b = render(&collect(4, &|| 0.0));
+        let a = render(&collect(1, &|| 0.0).unwrap());
+        let b = render(&collect(4, &|| 0.0).unwrap());
         assert_eq!(a, b);
         assert!(a.contains("\"check_failover\""));
         assert!(a.contains("\"chaos_sweep\""));

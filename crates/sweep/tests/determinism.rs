@@ -1,15 +1,46 @@
 //! Cross-process determinism: the `ys-sweep` binary must print the same
 //! bytes for every `--jobs` value. This drives the real CLI (argument
 //! parsing, shard merge, report rendering) rather than the library, so it
-//! also pins the exit codes and the seed-range syntax.
+//! also pins the exit codes and the seed-range syntax. The campaign
+//! binaries share the sweep's render path, so a single-seed run must print
+//! exactly its section of the sweep.
 
 use std::process::{Command, Output};
 
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("spawn binary")
+}
+
 fn sweep(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_ys-sweep"))
-        .args(args)
-        .output()
-        .expect("spawn ys-sweep")
+    run(env!("CARGO_BIN_EXE_ys-sweep"), args)
+}
+
+/// Each campaign binary, its sweep mode, and the flags that make the two
+/// run the same campaign (the chaos CLI defaults to 64 steps, the sweep to
+/// 32).
+const CAMPAIGNS: [(&str, &str, &[&str]); 3] = [
+    (env!("CARGO_BIN_EXE_ys-chaos"), "chaos", &["--steps", "64"]),
+    (env!("CARGO_BIN_EXE_ys-scrub"), "scrub", &[]),
+    (env!("CARGO_BIN_EXE_ys-heal"), "heal", &[]),
+];
+
+#[test]
+fn campaign_binaries_print_their_sweep_section() {
+    for (bin, mode, flags) in CAMPAIGNS {
+        let single = run(bin, &[&["--seed", "4"], flags].concat());
+        assert!(single.status.success(), "ys-{mode} --seed 4 failed");
+        let merged = sweep(&[&[mode, "--seeds", "4", "--jobs", "1"], flags].concat());
+        assert!(merged.status.success(), "ys-sweep {mode} failed");
+        let merged = String::from_utf8(merged.stdout).unwrap();
+        let section = merged
+            .strip_prefix(&format!("=== ys-{mode} seed 4 ===\n"))
+            .and_then(|rest| rest.strip_suffix("ys-sweep: 1 campaigns, 0 failed\n"))
+            .unwrap_or_else(|| panic!("unexpected ys-sweep {mode} layout:\n{merged}"));
+        assert_eq!(String::from_utf8(single.stdout).unwrap(), section, "ys-{mode} vs ys-sweep {mode}");
+
+        let unknown = run(bin, &["--frobnicate"]);
+        assert_eq!(unknown.status.code(), Some(2), "ys-{mode}: unknown flag must be a usage error");
+    }
 }
 
 #[test]

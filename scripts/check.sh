@@ -21,19 +21,19 @@ else
 fi
 
 echo "==> ys-chaos fault-campaign smoke + in-process double-run (seed 4, 64 steps)"
-cargo run -q -p ys-chaos -- --seed 4 --steps 64 --double-run --quiet
+cargo run -q -p ys-sweep --bin ys-chaos -- --seed 4 --steps 64 --double-run --quiet
 
 # End-to-end integrity: a seeded latent-error campaign must detect every
 # injected corruption and repair it (with the source attributed) or
 # declare it lost explicitly — plus the in-process byte-identity replay.
 echo "==> ys-scrub latent-error campaign + in-process double-run (seed 4, 64 errors)"
-cargo run -q -p ys-scrub -- --seed 4 --errors 64 --double-run --quiet
+cargo run -q -p ys-sweep --bin ys-scrub -- --seed 4 --errors 64 --double-run --quiet
 
 # Blade lifecycle: the seeded drain/fail/heal/rejoin campaign must lose
 # zero acknowledged writes through planned and unplanned membership churn,
 # refuse writes exactly at ReadOnly health, and replay byte-identically.
 echo "==> ys-heal lifecycle campaign + in-process double-run (seed 4)"
-cargo run -q -p ys-heal -- --seed 4 --double-run --quiet
+cargo run -q -p ys-sweep --bin ys-heal -- --seed 4 --double-run --quiet
 
 # Cross-process byte-identity: two separate invocations of the same seed
 # must print identical transcripts. The in-process double-run above already
@@ -42,8 +42,8 @@ cargo run -q -p ys-heal -- --seed 4 --double-run --quiet
 echo "==> ys-chaos cross-process determinism diff (seed 4, 64 steps)"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
-cargo run -q -p ys-chaos -- --seed 4 --steps 64 > "$tmpdir/run1.txt"
-cargo run -q -p ys-chaos -- --seed 4 --steps 64 > "$tmpdir/run2.txt"
+cargo run -q -p ys-sweep --bin ys-chaos -- --seed 4 --steps 64 > "$tmpdir/run1.txt"
+cargo run -q -p ys-sweep --bin ys-chaos -- --seed 4 --steps 64 > "$tmpdir/run2.txt"
 if ! cmp -s "$tmpdir/run1.txt" "$tmpdir/run2.txt"; then
     echo "FAIL: same-seed runs differ across processes — replay determinism broken" >&2
     diff "$tmpdir/run1.txt" "$tmpdir/run2.txt" >&2 || true
