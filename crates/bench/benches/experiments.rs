@@ -1,11 +1,11 @@
-//! Criterion wall-time benches over the experiment bodies — one bench per
-//! figure/claim, so `cargo bench` regenerates every result and also tracks
-//! the harness's own cost.
+//! Criterion wall-time benches over the experiment registry — one bench per
+//! entry, so `cargo bench` regenerates every result and also tracks the
+//! harness's own cost.
 //!
-//! The *simulated* metrics (MB/s, latency, loss counts) are printed by
-//! `cargo run -p ys-bench --bin report`; Criterion here measures that each
-//! experiment is cheap enough to iterate on and that the simulator itself
-//! doesn't regress.
+//! The *simulated* metrics (MB/s, latency, loss counts) and the paper-claim
+//! checkpoints are printed by `cargo run -p ys-bench --bin ys-report`;
+//! Criterion here measures that each experiment is cheap enough to iterate
+//! on and that the simulator itself doesn't regress.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

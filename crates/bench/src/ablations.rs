@@ -9,6 +9,7 @@
 
 use ys_cache::Retention;
 use ys_core::{BladeCluster, ClusterConfig, Rebuilder};
+use ys_obs::{collect_cluster, MetricKey, MetricsRegistry, RunReport};
 use ys_simcore::stats::Series;
 use ys_simcore::time::SimTime;
 use ys_simdisk::DiskId;
@@ -16,9 +17,11 @@ use ys_simdisk::DiskId;
 const KB: u64 = 1 << 10;
 const MB: u64 = 1 << 20;
 
-/// A1 — sequential stream rate vs. prefetch depth.
-pub fn a1_prefetch() -> Vec<Series> {
+/// A1 — sequential stream rate vs. prefetch depth. The deepest run feeds
+/// the registry.
+pub fn a1_prefetch() -> RunReport {
     let mut rate = Series::new("A1 cold sequential read MB/s vs prefetch depth (pages)");
+    let mut reg = MetricsRegistry::new();
     for depth in [0usize, 2, 4, 8, 16] {
         let cfg = ClusterConfig::default().with_blades(4).with_disks(8).with_prefetch(depth);
         let mut c = BladeCluster::new(cfg);
@@ -39,26 +42,33 @@ pub fn a1_prefetch() -> Vec<Series> {
         }
         let mbps = total as f64 / 1e6 / t.since(start).as_secs_f64();
         rate.push(depth as f64, mbps);
+        if depth == 16 {
+            collect_cluster(&mut reg, &c, t);
+        }
     }
-    vec![rate]
+    RunReport { series: vec![rate], registry: reg, ..RunReport::default() }
 }
 
 /// A2 — rebuild time vs. batch size (rows per worker claim).
-pub fn a2_rebuild_batch() -> Vec<Series> {
+pub fn a2_rebuild_batch() -> RunReport {
     let mut time = Series::new("A2 rebuild time (s) vs batch rows (4 workers)");
+    let mut reg = MetricsRegistry::new();
     for batch in [1u64, 8, 64, 256] {
         let mut c = BladeCluster::new(ClusterConfig::default().with_blades(4).with_disks(8));
         c.fail_disk(DiskId(2));
         let mut r = Rebuilder::new(&mut c, SimTime::ZERO, DiskId(2), 128 * MB, &[0, 1, 2, 3], batch);
         let done = r.run(&mut c).unwrap();
         time.push(batch as f64, done.as_secs_f64());
+        reg.gauge(MetricKey::aggregate("raid", &format!("rebuild_ms_batch_{batch}")), done.as_millis_f64());
     }
-    vec![time]
+    RunReport { series: vec![time], registry: reg, ..RunReport::default() }
 }
 
-/// A3 — Zipf read throughput with and without coherent peer supply.
-pub fn a3_remote_supply() -> Vec<Series> {
+/// A3 — Zipf read throughput with and without coherent peer supply. The
+/// coherent run feeds the registry.
+pub fn a3_remote_supply() -> RunReport {
     let mut tput = Series::new("A3 Zipf read MB/s: 0=coherent peer supply 1=partitioned (disk on non-local)");
+    let mut reg = MetricsRegistry::new();
     for (i, coherent) in [true, false].into_iter().enumerate() {
         let mut cfg = ClusterConfig::default().with_blades(8).with_disks(16).with_clients(16);
         if !coherent {
@@ -81,17 +91,11 @@ pub fn a3_remote_supply() -> Vec<Series> {
             (SimTime(done.nanos() - base.nanos()), op.len)
         });
         tput.push(i as f64, r.mb_per_sec());
+        if coherent {
+            collect_cluster(&mut reg, &c, base + r.makespan);
+        }
     }
-    vec![tput]
-}
-
-/// All ablations, for the report binary.
-pub fn all() -> Vec<(&'static str, Vec<Series>)> {
-    vec![
-        ("A1 prefetch ablation", a1_prefetch()),
-        ("A2 rebuild batch-size ablation", a2_rebuild_batch()),
-        ("A3 coherent-peer-supply ablation", a3_remote_supply()),
-    ]
+    RunReport { series: vec![tput], registry: reg, ..RunReport::default() }
 }
 
 #[cfg(test)]
@@ -100,7 +104,7 @@ mod tests {
 
     #[test]
     fn prefetch_monotonically_helps_cold_sequential() {
-        let s = &a1_prefetch()[0];
+        let s = &a1_prefetch().series[0];
         let off = s.points[0].1;
         let deep = s.points.last().unwrap().1;
         assert!(deep > off * 1.2, "prefetch 16 ({deep:.0} MB/s) should beat none ({off:.0})");
@@ -110,7 +114,7 @@ mod tests {
     fn rebuild_batch_size_has_a_sweet_spot() {
         // Tiny batches pay per-claim latency; huge batches leave the tail
         // imbalanced across workers. The middle wins.
-        let s = &a2_rebuild_batch()[0];
+        let s = &a2_rebuild_batch().series[0];
         let first = s.points[0].1;
         let last = s.points.last().unwrap().1;
         let best = s.points.iter().map(|&(_, y)| y).fold(f64::INFINITY, f64::min);
@@ -120,7 +124,7 @@ mod tests {
 
     #[test]
     fn coherent_supply_beats_partitioned() {
-        let s = &a3_remote_supply()[0];
+        let s = &a3_remote_supply().series[0];
         assert!(s.points[0].1 > s.points[1].1, "coherence must pay: {:?}", s.points);
     }
 }

@@ -1,22 +1,30 @@
 //! The experiment suite: one function per figure/claim in the paper, each
-//! returning the labelled series the report binary prints and
-//! EXPERIMENTS.md records.
+//! returning a [`RunReport`]: the labelled series `ys-report` prints and
+//! EXPERIMENTS.md records, the paper-claim checkpoints asserted on those
+//! same runs, and the metrics registry and trace the runs produced.
 //!
 //! Every experiment is deterministic: `(config, seed)` fully determines the
 //! output. Sizes are chosen so the whole suite runs in seconds of wall
 //! time while exercising thousands-to-millions of simulated operations.
 
 use crate::driver::closed_loop;
+use crate::{ablations, scenarios};
 use ys_cache::Retention;
 use ys_core::{
-    deliver_stream, run_service, BladeCluster, ClusterConfig, EncryptionConfig, FastPathConfig, LegacyArray,
-    LegacyConfig, LoadBalance, NetStorage, NetStorageConfig, Rebuilder, ServiceJob,
+    deliver_stream_traced, run_service, BladeCluster, BlockTarget, ClusterConfig, EncryptionConfig,
+    FastPathConfig, LegacyArray, LegacyConfig, LoadBalance, NetStorage, NetStorageConfig, Rebuilder,
+    ServiceJob,
 };
 use ys_geo::{SiteId, SiteTopology};
+use ys_obs::report::{f2, f3};
+use ys_obs::{
+    collect_cache, collect_cluster, collect_geo, record_trace_drops, Checkpoint, MetricKey, MetricsRegistry,
+    RunReport,
+};
 use ys_pfs::{FilePolicy, GeoMode, GeoPolicy};
-use ys_proto::Workload;
-use ys_security::{InitiatorId, LunMask};
-use ys_simcore::stats::Series;
+use ys_proto::{block, BlockCmd, BlockStatus, Workload};
+use ys_security::{InitiatorId, PortZone};
+use ys_simcore::stats::{Counter, Series};
 use ys_simcore::time::{SimDuration, SimTime};
 use ys_simdisk::DiskId;
 use ys_simnet::catalog;
@@ -26,39 +34,180 @@ const KB: u64 = 1 << 10;
 const MB: u64 = 1 << 20;
 const GB: u64 = 1 << 30;
 
+/// Ring capacity of every traced run (per subsystem ring).
+pub const TRACE_CAPACITY: usize = 8192;
+
 /// E1 / Figure 1 — single-stream rate vs striping blade count.
 ///
 /// Paper claim: 4 blades × 2 × 2 Gb/s FC feed a ~10 Gb/s stream through a
-/// common PCI-X bus and 10 GbE port.
-pub fn e1_striping() -> Vec<Series> {
+/// common PCI-X bus and 10 GbE port. The 4-blade headline run is traced
+/// per FC port; tracing never changes the simulated timings.
+pub fn e1_striping() -> RunReport {
     let mut rate = Series::new("E1 stream rate (Gb/s) vs blades");
     let mut bus = Series::new("E1 PCI-X bus utilization vs blades");
+    let mut reg = MetricsRegistry::new();
+    let mut port_util = 0.0;
+    let mut events = Vec::new();
+    let mut dropped = 0;
     for blades in 1..=8usize {
         let cfg = FastPathConfig { blades, ..FastPathConfig::default() };
-        let r = deliver_stream(&cfg, GB);
+        let capacity = if blades == 4 { TRACE_CAPACITY } else { 0 };
+        let (r, ev, d) = deliver_stream_traced(&cfg, GB, capacity);
         rate.push(blades as f64, r.gbit_per_sec);
         bus.push(blades as f64, r.bus_utilization);
+        reg.gauge(MetricKey::aggregate("fastpath", &format!("gbps_{blades}_blades")), r.gbit_per_sec);
+        if blades == 4 {
+            reg.gauge(MetricKey::aggregate("fastpath", "bus_util"), r.bus_utilization);
+            reg.gauge(MetricKey::aggregate("fastpath", "port_util"), r.port_utilization);
+            port_util = r.port_utilization;
+            (events, dropped) = (ev, d);
+        }
     }
-    vec![rate, bus]
+    // Per-blade FC feed straight from the trace: lane 2b+p is blade b port p.
+    let ports = FastPathConfig::default().fc_ports_per_blade as u32;
+    for b in 0..4u32 {
+        let (n, bytes) = events
+            .iter()
+            .filter(|e| e.lane < 1000 && e.lane / ports == b)
+            .fold((0, 0), |(n, bytes), e| (n + 1, bytes + e.a));
+        *reg.counter(MetricKey::scoped("fastpath", b, "fc_io")) = Counter::of(n, bytes);
+    }
+    record_trace_drops(&mut reg, "fastpath", dropped);
+
+    let gbps = |blades: usize| rate.points[blades - 1].1;
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§2.3/§8: four blades over two FC ports each sustain ~10 Gb/s",
+            metric: "fastpath.gbps_4_blades".into(),
+            observed: f2(gbps(4)),
+            target: "> 9.0".into(),
+            pass: gbps(4) > 9.0,
+        },
+        Checkpoint {
+            claim: "§2.3: striping scales — two blades nearly double one",
+            metric: "fastpath.gbps_2_blades / gbps_1_blades".into(),
+            observed: f2(gbps(2) / gbps(1)),
+            target: "> 1.8".into(),
+            pass: gbps(2) / gbps(1) > 1.8,
+        },
+        Checkpoint {
+            claim: "§2.3: the 10 GbE port is the saturated stage at 4 blades",
+            metric: "fastpath.port_util".into(),
+            observed: f3(port_util),
+            target: "> 0.9".into(),
+            pass: port_util > 0.9,
+        },
+    ];
+    RunReport { series: vec![rate, bus], checkpoints, registry: reg, events, dropped, ..RunReport::default() }
 }
 
-/// E2 / Figure 2 — the secure multi-tenant pool: LUN-mask isolation plus
-/// the throughput cost of each optional security layer.
-pub fn e2_secure_pool() -> Vec<Series> {
-    // Isolation: two tenants on one pool; cross-tenant access must fail.
-    let mut mask = LunMask::new();
+/// E2 / Figure 2 — the secure multi-tenant pool: zoning + LUN-mask
+/// isolation on real frames, plus the throughput cost of each optional
+/// security layer.
+pub fn e2_secure_pool() -> RunReport {
+    // Isolation: two tenants share one ciphered pool behind a zoned block
+    // target. The operator zones one host port per tenant, the disk-side
+    // bridge, and a management port; each tenant is granted only its own LUN.
+    const IO_SECTORS: u32 = 128; // 64 KiB per frame
+    const ATTEMPTS: u64 = 100;
+    let mut c = BladeCluster::new(
+        ClusterConfig::default()
+            .with_blades(4)
+            .with_disks(8)
+            .with_clients(4)
+            .with_encryption(EncryptionConfig::full_hw()),
+    );
+    let vol_a = c.create_volume("alice", 1, GB).unwrap();
+    let vol_b = c.create_volume("bob", 2, GB).unwrap();
+    let mut target = BlockTarget::new(2, 8);
+    target.mask.set_zone(0, PortZone::HostSide);
+    target.mask.set_zone(1, PortZone::HostSide);
+    target.mask.set_zone(8, PortZone::DiskSide);
+    target.mask.set_zone(9, PortZone::Management);
     let (alice, bob) = (InitiatorId(1), InitiatorId(2));
-    mask.grant(alice, ys_virt::VolumeId(0));
-    mask.grant(bob, ys_virt::VolumeId(1));
+    target.mask.grant(alice, vol_a);
+    target.mask.grant(bob, vol_b);
+
+    // The tenants alternate: each writes its own LUN, then probes the
+    // other's — a read, a write, or a frame smuggled onto the trusted
+    // disk-side fabric (a breach even for its own LUN).
+    let mut t = SimTime::ZERO;
+    let mut own_ok = 0u64;
+    let mut denied = 0u64;
+    for i in 0..ATTEMPTS {
+        let (who, port, own, other) = if i % 2 == 0 { (alice, 0, vol_a, vol_b) } else { (bob, 1, vol_b, vol_a) };
+        let lba = (i / 2) * IO_SECTORS as u64;
+        let w = target.handle(
+            &mut c,
+            who,
+            port,
+            port,
+            t,
+            block::encode(&BlockCmd::Write { lun: own.0, lba, sectors: IO_SECTORS }),
+        );
+        own_ok += (w.status == BlockStatus::Good) as u64;
+        t = w.done;
+        let (p, probe) = match (i / 2) % 3 {
+            0 => (port, BlockCmd::Read { lun: other.0, lba, sectors: IO_SECTORS }),
+            1 => (port, BlockCmd::Write { lun: other.0, lba, sectors: IO_SECTORS }),
+            _ => (8, BlockCmd::Read { lun: own.0, lba, sectors: IO_SECTORS }),
+        };
+        if target.handle(&mut c, who, port, p, t, block::encode(&probe)).status == BlockStatus::AccessDenied {
+            denied += 1;
+        }
+    }
     let mut isolation = Series::new("E2 cross-tenant accesses denied (of 100 attempts)");
-    let denied = (0..100)
-        .filter(|i| {
-            let initiator = if i % 2 == 0 { alice } else { bob };
-            let target = ys_virt::VolumeId(1 - (i % 2) as u32); // the OTHER tenant's volume
-            mask.check_access(initiator, target).is_err()
-        })
-        .count();
-    isolation.push(100.0, denied as f64);
+    isolation.push(ATTEMPTS as f64, denied as f64);
+    let luns_a = target.report_luns(alice);
+    let luns_b = target.report_luns(bob);
+    let audited = target.audit.violations().count() as u64;
+
+    // §5.1's warranty-return scenario: destage everything, then look at
+    // the raw media bytes a removed disk would disclose.
+    c.drain();
+    let plain = BladeCluster::plaintext_page_tag(vol_a, 0);
+    let media = c.media_tag(vol_a, 0).unwrap();
+    let mut dec = media;
+    ys_security::ctr_xor(&c.volume_key(vol_a), 0, 0, &mut dec);
+    let ciphered_at_rest = media != plain && dec == plain;
+
+    let mut reg = MetricsRegistry::new();
+    collect_cluster(&mut reg, &c, t);
+    reg.gauge(MetricKey::aggregate("security", "own_io_ok"), own_ok as f64);
+    reg.gauge(MetricKey::aggregate("security", "cross_tenant_attempts"), ATTEMPTS as f64);
+    reg.gauge(MetricKey::aggregate("security", "cross_tenant_denied"), denied as f64);
+    reg.gauge(MetricKey::aggregate("security", "denials_audited"), audited as f64);
+    reg.gauge(MetricKey::aggregate("security", "pages_ciphered"), c.stats.pages_ciphered as f64);
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§5: no cross-tenant frame ever succeeds — mask and zones fail closed",
+            metric: "security.cross_tenant_denied".into(),
+            observed: format!("{denied}/{ATTEMPTS}"),
+            target: format!("== {ATTEMPTS}"),
+            pass: denied == ATTEMPTS,
+        },
+        Checkpoint {
+            claim: "§5.2: ReportLuns hides the other tenant's volume existence",
+            metric: "report_luns(A), report_luns(B)".into(),
+            observed: format!("{luns_a:?}, {luns_b:?}"),
+            target: "own volume only".into(),
+            pass: luns_a == vec![vol_a] && luns_b == vec![vol_b],
+        },
+        Checkpoint {
+            claim: "§5.2: every denial is in the audit trail",
+            metric: "security.denials_audited".into(),
+            observed: audited.to_string(),
+            target: format!("== {}", target.stats.denied),
+            pass: audited == target.stats.denied && audited == denied,
+        },
+        Checkpoint {
+            claim: "§5.1: media bytes are ciphertext; only the volume key recovers them",
+            metric: "media_tag(vol_a, 0)".into(),
+            observed: if ciphered_at_rest { "ciphered, round-trips".into() } else { "PLAINTEXT".to_string() },
+            target: "!= plaintext, deciphers back".into(),
+            pass: ciphered_at_rest,
+        },
+    ];
 
     // Throughput under security layers: multi-tenant 64 KiB mixed I/O.
     let mut tput = Series::new("E2 throughput (MB/s): 0=off 1=mask+auth 2=at-rest(hw) 3=full(hw) 4=full(sw)");
@@ -88,12 +237,12 @@ pub fn e2_secure_pool() -> Vec<Series> {
         });
         tput.push(i as f64, r.mb_per_sec());
     }
-    vec![isolation, tput]
+    RunReport { series: vec![isolation, tput], checkpoints, registry: reg, ..RunReport::default() }
 }
 
 /// E3 / Figure 3 — the three-site national-lab deployment with per-tier
 /// file policies: write latency per tier and async RPO behaviour.
-pub fn e3_geo_deploy() -> Vec<Series> {
+pub fn e3_geo_deploy() -> RunReport {
     let mut ns = NetStorage::new(NetStorageConfig {
         site_cluster: ClusterConfig::default().with_blades(4).with_disks(8).with_clients(4),
         ..NetStorageConfig::default()
@@ -135,16 +284,19 @@ pub fn e3_geo_deploy() -> Vec<Series> {
     ns.ship_async(t, u64::MAX).unwrap();
     let after = ns.async_backlog(home, SiteId(1)).0 + ns.async_backlog(home, SiteId(2)).0;
     backlog.push(1.0, after as f64);
-    vec![lat, backlog]
+    let mut reg = MetricsRegistry::new();
+    collect_geo(&mut reg, &ns);
+    RunReport { series: vec![lat, backlog], registry: reg, ..RunReport::default() }
 }
 
 /// E4 — aggregate throughput vs blade count on a shared, unpartitioned
 /// volume (§2.1), with the dual-controller legacy array as the baseline.
-pub fn e4_scaling() -> Vec<Series> {
+pub fn e4_scaling() -> RunReport {
     let clients = 32usize;
     let working_set = 128 * MB; // hot set: fits even one blade's cache
     let io = 64 * KB;
     let mut tput = Series::new("E4 aggregate read MB/s vs blades (shared volume, no partitioning)");
+    let mut reg = MetricsRegistry::new();
     for blades in [1usize, 2, 4, 8, 12, 16] {
         let mut c = BladeCluster::new(
             ClusterConfig::default().with_blades(blades).with_disks(16).with_clients(clients),
@@ -163,6 +315,9 @@ pub fn e4_scaling() -> Vec<Series> {
             (SimTime(done.nanos() - t_warm.nanos()), op.len)
         });
         tput.push(blades as f64, r.mb_per_sec());
+        if blades == 16 {
+            collect_cluster(&mut reg, &c, t_warm + r.makespan);
+        }
     }
     // Legacy baseline: the best a traditional array offers is 2 controllers.
     let mut legacy = Series::new("E4 baseline: legacy dual-controller MB/s (flat)");
@@ -182,12 +337,16 @@ pub fn e4_scaling() -> Vec<Series> {
         });
         legacy.push(controllers as f64, r.mb_per_sec());
     }
-    vec![tput, legacy]
+    RunReport { series: vec![tput, legacy], registry: reg, ..RunReport::default() }
 }
 
 /// E5 — hot-spot behaviour under Zipf skew: the pooled coherent cache with
 /// load balancing vs volume-pinned controllers (§2.2, §6.3).
-pub fn e5_hotspot() -> Vec<Series> {
+///
+/// The comparison runs pre-warm every volume, so their caches hit by
+/// construction; the §2.2 hit-ratio claim is measured on a separate cold
+/// Zipf run (traced) where the cache has to earn its hits.
+pub fn e5_hotspot() -> RunReport {
     let volumes = 8usize;
     let clients = 16usize;
     let io = 64 * KB;
@@ -245,15 +404,59 @@ pub fn e5_hotspot() -> Vec<Series> {
             dir_series = Some(dir);
         }
     }
-    let mut out = vec![tput, spread, p99s];
+    let (pooled_imb, pinned_imb) = (spread.points[0].1, spread.points[2].1);
+    let mut series = vec![tput, spread, p99s];
     if let Some(d) = dir_series {
-        out.push(d);
+        series.push(d);
     }
-    out
+
+    // The cold run: Zipf(1.1) over 2 GiB with 30% writes, nothing warmed.
+    let mut c = BladeCluster::new(ClusterConfig::default().with_blades(4).with_disks(8));
+    c.enable_tracing(TRACE_CAPACITY);
+    let vol = c.create_volume("hot", 0, 4 * GB).unwrap();
+    let mut wl = Workload::zipf(2 * GB, io, 1.1, 0.3, 42);
+    let mut t = SimTime::ZERO;
+    for i in 0..2500 {
+        let op = wl.next_op();
+        let client = i % 8;
+        t = if op.write {
+            c.write(t, client, vol, op.offset, op.len, 2, Retention::Normal).unwrap().done
+        } else {
+            c.read(t, client, vol, op.offset, op.len).unwrap().done
+        };
+    }
+    let (events, dropped) = c.take_trace();
+    let mut reg = MetricsRegistry::new();
+    collect_cache(&mut reg, c.cache.stats());
+    record_trace_drops(&mut reg, "cluster", dropped);
+    let hit_ratio = reg.gauge_value(&MetricKey::aggregate("cache", "hit_ratio")).unwrap_or(0.0);
+    let mut cold = Series::new("E5 cold Zipf(1.1) cache hit ratio (pooled RR, 2500 ops, 30% writes, no pre-warm)");
+    cold.push(0.0, hit_ratio);
+    series.push(cold);
+
+    reg.gauge(MetricKey::aggregate("core", "cpu_imbalance"), pooled_imb);
+    reg.gauge(MetricKey::aggregate("core", "cpu_imbalance_pinned"), pinned_imb);
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§2.2: hot data concentrates in the pooled cache — skewed reads mostly hit",
+            metric: "cache.hit_ratio".into(),
+            observed: f3(hit_ratio),
+            target: "> 0.5".into(),
+            pass: hit_ratio > 0.5,
+        },
+        Checkpoint {
+            claim: "§6.3: load balancing spreads the hot spot the pinned islands concentrate",
+            metric: "core.cpu_imbalance (pooled vs pinned)".into(),
+            observed: format!("{} vs {}", f2(pooled_imb), f2(pinned_imb)),
+            target: "pooled < pinned".into(),
+            pass: pooled_imb < pinned_imb,
+        },
+    ];
+    RunReport { series, checkpoints, registry: reg, events, dropped, ..RunReport::default() }
 }
 
 /// E6 — DMSD thin provisioning vs fixed partitions (§3).
-pub fn e6_dmsd() -> Vec<Series> {
+pub fn e6_dmsd() -> RunReport {
     let extent = MB;
     let pool_extents = 1024 * 1024; // 1 TiB pool
     let volumes = 100usize;
@@ -283,8 +486,10 @@ pub fn e6_dmsd() -> Vec<Series> {
     // Charge-back accuracy: billed == actually consumed.
     let lines = m.chargeback();
     let billed: u64 = lines.iter().map(|l| l.actual_bytes).sum();
+    let consumed = actual_total * extent;
+    let billed_ratio = billed as f64 / consumed.max(1) as f64;
     let mut cb = Series::new("E6 chargeback: billed bytes / consumed bytes (must be 1.0)");
-    cb.push(0.0, billed as f64 / (actual_total * extent).max(1) as f64);
+    cb.push(0.0, billed_ratio);
 
     // Space reclamation: unmap half of each volume's data.
     let used_before = m.pool().used_extents();
@@ -299,16 +504,38 @@ pub fn e6_dmsd() -> Vec<Series> {
     reclaim.push(0.0, used_before as f64);
     reclaim.push(1.0, m.pool().used_extents() as f64);
     assert_eq!(actual_total, fixed_demand.min(actual_total)); // sanity
-    vec![usage, cb, reclaim]
+
+    let mut reg = MetricsRegistry::new();
+    let extents = |n: u64| Counter::of(n, n * extent);
+    *reg.counter(MetricKey::aggregate("virt", "pool_used_extents")) = extents(used_before);
+    *reg.counter(MetricKey::aggregate("virt", "provisioned_extents")) = extents(fixed_demand);
+    *reg.counter(MetricKey::aggregate("virt", "billed_bytes")) = Counter::of(lines.len() as u64, billed);
+    reg.gauge(MetricKey::aggregate("virt", "pool_used_after_unmap"), m.pool().used_extents() as f64);
+    let checkpoints = vec![Checkpoint {
+        claim: "§3: charge-back bills exactly the extents each DMSD consumes",
+        metric: "virt.billed_bytes / consumed bytes".into(),
+        observed: format!("{billed_ratio:.4}"),
+        target: "== 1.0".into(),
+        pass: billed == consumed && consumed > 0,
+    }];
+    RunReport { series: vec![usage, cb, reclaim], checkpoints, registry: reg, ..RunReport::default() }
 }
 
 /// E7 — N-way write replication: latency cost vs N, and survival of N−1
 /// blade failures (§6.1).
-pub fn e7_nway() -> Vec<Series> {
+///
+/// The N = 3 run is traced and feeds the registry.
+pub fn e7_nway() -> RunReport {
     let mut lat = Series::new("E7 mean write latency (ms) vs replication N");
     let mut survival = Series::new("E7 dirty pages lost after N-1 blade failures (must be 0)");
+    let mut reg = MetricsRegistry::new();
+    let (mut events, mut dropped) = (Vec::new(), 0);
+    let (mut lost3, mut promoted3) = (0, 0);
     for n in 1..=4usize {
         let mut c = BladeCluster::new(ClusterConfig::default().with_blades(6).with_disks(12));
+        if n == 3 {
+            c.enable_tracing(TRACE_CAPACITY);
+        }
         let vol = c.create_volume("t", 0, 4 * GB).unwrap();
         let mut t = SimTime::ZERO;
         let mut total = SimDuration::ZERO;
@@ -321,10 +548,19 @@ pub fn e7_nway() -> Vec<Series> {
         lat.push(n as f64, total.as_millis_f64() / ops as f64);
         // Kill N−1 blades while the cache is still dirty.
         let mut lost = 0usize;
+        let mut promoted = 0usize;
         for b in 0..n.saturating_sub(1) {
-            lost += c.fail_blade(t, b).lost.len();
+            let report = c.fail_blade(t, b);
+            lost += report.lost.len();
+            promoted += report.promoted.len();
         }
         survival.push(n as f64, lost as f64);
+        if n == 3 {
+            (lost3, promoted3) = (lost, promoted);
+            collect_cluster(&mut reg, &c, t);
+            (events, dropped) = c.take_trace();
+            record_trace_drops(&mut reg, "cluster", dropped);
+        }
     }
     // The contrast: N=1 with one failure loses data.
     let mut baseline = Series::new("E7 baseline: N=1 pages lost after 1 failure per blade");
@@ -339,22 +575,70 @@ pub fn e7_nway() -> Vec<Series> {
         lost += c.fail_blade(t, b).lost.len();
     }
     baseline.push(1.0, lost as f64);
-    vec![lat, survival, baseline]
+    reg.gauge(MetricKey::aggregate("core", "dirty_pages_lost_baseline"), lost as f64);
+
+    let lost_any_n: f64 = survival.points.iter().map(|&(_, y)| y).sum();
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§6.1: 3-way replicated dirty data survives 2 blade failures",
+            metric: "core.dirty_pages_lost".into(),
+            observed: lost3.to_string(),
+            target: "== 0".into(),
+            pass: lost3 == 0,
+        },
+        Checkpoint {
+            claim: "§6.1: survivors promote replicas to owners",
+            metric: "core.dirty_pages_promoted".into(),
+            observed: promoted3.to_string(),
+            target: "> 0".into(),
+            pass: promoted3 > 0,
+        },
+        Checkpoint {
+            claim: "§6.1 (contrast): unreplicated dirty pages die with their blade",
+            metric: "baseline dirty_pages_lost".into(),
+            observed: lost.to_string(),
+            target: "> 0".into(),
+            pass: lost > 0,
+        },
+        Checkpoint {
+            claim: "§6.1: N-way dirty replication survives N−1 blade failures for every N",
+            metric: "dirty pages lost, summed over N = 1..4".into(),
+            observed: lost_any_n.to_string(),
+            target: "== 0".into(),
+            pass: lost_any_n == 0.0,
+        },
+    ];
+    let series = vec![lat, survival, baseline];
+    RunReport { series, checkpoints, registry: reg, events, dropped, ..RunReport::default() }
 }
 
 /// E8 — distributed rebuild: time vs participating blades, and the effect
 /// of a controller dying mid-rebuild (§2.4, §6.3).
-pub fn e8_rebuild() -> Vec<Series> {
+///
+/// The 4-worker run is traced.
+pub fn e8_rebuild() -> RunReport {
     let region = 256 * MB;
     let mut times = Series::new("E8 rebuild time (s) vs participating blades");
+    let mut reg = MetricsRegistry::new();
+    let mut ms = Vec::new();
+    let (mut events, mut dropped) = (Vec::new(), 0);
     for workers in [1usize, 2, 4, 8] {
         let mut c = BladeCluster::new(ClusterConfig::default().with_blades(8).with_disks(8));
         c.fail_disk(DiskId(3));
         let blades: Vec<usize> = (0..workers).collect();
         let mut r = Rebuilder::new(&mut c, SimTime::ZERO, DiskId(3), region, &blades, 64);
+        if workers == 4 {
+            r.enable_tracing(TRACE_CAPACITY);
+        }
         let done = r.run(&mut c).unwrap();
         times.push(workers as f64, done.as_secs_f64());
+        ms.push(done.as_millis_f64());
+        reg.gauge(MetricKey::aggregate("raid", &format!("rebuild_ms_{workers}_workers")), done.as_millis_f64());
+        if workers == 4 {
+            (events, dropped) = r.take_trace();
+        }
     }
+    record_trace_drops(&mut reg, "raid", dropped);
     // Worker failure mid-rebuild: completes anyway, slightly later.
     let mut failover = Series::new("E8 rebuild time (s): 0=4 workers 1=4 workers, one dies midway");
     for kill_one in [false, true] {
@@ -370,12 +654,33 @@ pub fn e8_rebuild() -> Vec<Series> {
         }
         failover.push(kill_one as u64 as f64, r.finished_at().unwrap().as_secs_f64());
     }
-    vec![times, failover]
+
+    let (one, two, four) = (ms[0], ms[1], ms[2]);
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§2.4: a second worker blade speeds the rebuild",
+            metric: "raid.rebuild_ms_2_workers".into(),
+            observed: f2(two),
+            target: format!("< {}", f2(one)),
+            pass: two < one,
+        },
+        Checkpoint {
+            claim: "§2.4: beyond the disk bound, more workers never regress",
+            metric: "raid.rebuild_ms_4_workers".into(),
+            observed: f2(four),
+            target: format!("<= {}", f2(two)),
+            pass: four <= two,
+        },
+    ];
+    let series = vec![times, failover];
+    RunReport { series, checkpoints, registry: reg, events, dropped, ..RunReport::default() }
 }
 
 /// E9 — geographic replication modes: write latency vs distance for sync
 /// vs async, and the loss window after a site cut (§6.2, §7.2).
-pub fn e9_georep() -> Vec<Series> {
+///
+/// The async loss-window run is traced and feeds the registry.
+pub fn e9_georep() -> RunReport {
     let mut sync_lat = Series::new("E9 sync write latency (ms) vs one-way distance (km)");
     let mut async_lat = Series::new("E9 async write latency (ms) vs one-way distance (km)");
     for km in [10.0, 100.0, 500.0, 1000.0, 3000.0, 7000.0] {
@@ -404,10 +709,14 @@ pub fn e9_georep() -> Vec<Series> {
         sync_lat.push(km, stot.as_millis_f64() / n as f64);
         async_lat.push(km, atot.as_millis_f64() / n as f64);
     }
+    let acks = || sync_lat.points.iter().zip(&async_lat.points).map(|(&(_, s), &(_, a))| (s, a));
+    let async_first = acks().all(|(s, a)| a < s);
+    // The nearest peer is where the WAN round trip is smallest.
+    let (sync_near, async_near) = acks().next().unwrap_or_default();
 
     // Loss window: 100 async writes, ship 50, cut the site.
     let mut loss = Series::new("E9 writes lost at site cut: 0=sync 1=async(half-shipped)");
-    {
+    let sync_readable = {
         let mut ns = NetStorage::new(NetStorageConfig {
             site_cluster: ClusterConfig::default().with_blades(2).with_disks(6).with_clients(2),
             ..NetStorageConfig::default()
@@ -420,12 +729,15 @@ pub fn e9_georep() -> Vec<Series> {
         }
         let rep = ns.fail_site(SiteId(0));
         loss.push(0.0, rep.async_writes_lost as f64);
-    }
-    {
+        ns.read_file(t, SiteId(1), 0, "/s", 0, 4 * KB).is_ok()
+    };
+    let mut reg = MetricsRegistry::new();
+    let (unshipped, async_lost, events, dropped) = {
         let mut ns = NetStorage::new(NetStorageConfig {
             site_cluster: ClusterConfig::default().with_blades(2).with_disks(6).with_clients(2),
             ..NetStorageConfig::default()
         });
+        ns.enable_tracing(TRACE_CAPACITY);
         let ap = FilePolicy { geo: GeoPolicy::async_(2), ..FilePolicy::default() };
         ns.create_file("/a", ap, SiteId(0)).unwrap();
         let mut t = SimTime::ZERO;
@@ -435,9 +747,16 @@ pub fn e9_georep() -> Vec<Series> {
         // Ship roughly half the journal (each record is 4 KiB; two async
         // destinations share the budget round).
         ns.ship_async(t, 50 * 4 * KB).unwrap();
+        let unshipped: u64 = (1..ns.clusters.len()).map(|d| ns.async_backlog(SiteId(0), SiteId(d)).0).sum();
         let rep = ns.fail_site(SiteId(0));
         loss.push(1.0, rep.async_writes_lost as f64);
-    }
+        collect_geo(&mut reg, &ns);
+        let (events, dropped) = ns.take_trace();
+        (unshipped, rep.async_writes_lost, events, dropped)
+    };
+    record_trace_drops(&mut reg, "netstorage", dropped);
+    reg.gauge(MetricKey::aggregate("geo", "sync_ack_ms"), sync_near);
+    reg.gauge(MetricKey::aggregate("geo", "async_ack_ms"), async_near);
 
     // File-level vs volume-level replication network cost (§7.2: "a key
     // disadvantage of current solutions is that replication is done at a
@@ -465,13 +784,44 @@ pub fn e9_georep() -> Vec<Series> {
         ns.ship_async(t, u64::MAX).unwrap();
         traffic.push(i as f64, ns.wan_bytes_total() as f64 / 1e6);
     }
-    vec![sync_lat, async_lat, loss, traffic]
+
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§7.2: async acks locally, well before the sync mirror's WAN round trip",
+            metric: "geo.async_ack_ms < geo.sync_ack_ms".into(),
+            observed: format!("{} < {}", f3(async_near), f3(sync_near)),
+            target: "async < sync".into(),
+            pass: async_first,
+        },
+        Checkpoint {
+            claim: "§7.2: the async journal's unshipped tail is the loss window",
+            metric: "disaster.async_writes_lost".into(),
+            observed: async_lost.to_string(),
+            target: format!("== {unshipped} (unshipped records at the cut)"),
+            pass: async_lost == unshipped && unshipped > 0,
+        },
+        Checkpoint {
+            claim: "§7: the synchronous replica serves reads after the home site dies",
+            metric: "read(/s)@peer".into(),
+            observed: sync_readable.to_string(),
+            target: "true".into(),
+            pass: sync_readable,
+        },
+    ];
+    RunReport {
+        series: vec![sync_lat, async_lat, loss, traffic],
+        checkpoints,
+        registry: reg,
+        events,
+        dropped,
+        ..RunReport::default()
+    }
 }
 
 /// E10 — distributed data access: first-reference migration penalty, then
 /// local-speed access; automatic replication after write invalidation
 /// (§7.1).
-pub fn e10_remote_access() -> Vec<Series> {
+pub fn e10_remote_access() -> RunReport {
     let mut ns = NetStorage::new(NetStorageConfig {
         site_cluster: ClusterConfig::default().with_blades(4).with_disks(8).with_clients(4),
         heat_half_life_secs: 10_000.0,
@@ -507,13 +857,17 @@ pub fn e10_remote_access() -> Vec<Series> {
     ns.run_auto_replication(t).unwrap();
     let pushed = ns.read_file(t + SimDuration::from_secs(1), remote, 0, "/dataset.h5", 0, 8 * MB).unwrap();
     auto.push(1.0, pushed.latency.as_millis_f64());
-    vec![seq, auto]
+    let mut reg = MetricsRegistry::new();
+    collect_geo(&mut reg, &ns);
+    RunReport { series: vec![seq, auto], registry: reg, ..RunReport::default() }
 }
 
 /// E11 — wire-speed encryption (§5.1, §8.1): streaming throughput with
 /// encryption off / hardware / software.
-pub fn e11_encryption() -> Vec<Series> {
+pub fn e11_encryption() -> RunReport {
     let mut tput = Series::new("E11 streaming read MB/s: 0=off 1=at-rest+transit(hw) 2=at-rest+transit(sw)");
+    let mut reg = MetricsRegistry::new();
+    let mut pages_ciphered = [0u64; 3];
     for (i, enc) in [EncryptionConfig::off(), EncryptionConfig::full_hw(), EncryptionConfig::full_sw()]
         .into_iter()
         .enumerate()
@@ -528,6 +882,7 @@ pub fn e11_encryption() -> Vec<Series> {
             t = c.write(t, 0, vol, off, MB, 1, Retention::Normal).unwrap().done;
         }
         let start = c.drain().max(t);
+        pages_ciphered[i] = c.stats.pages_ciphered;
         // Stream it back from cache through 4 clients.
         let chunk = MB;
         let chunks = total / chunk;
@@ -539,8 +894,50 @@ pub fn e11_encryption() -> Vec<Series> {
             (SimTime(done.nanos() - start.nanos()), chunk)
         });
         tput.push(i as f64, r.mb_per_sec());
+        if i == 1 {
+            collect_cluster(&mut reg, &c, start + r.makespan);
+        }
     }
-    vec![tput]
+
+    let (off, hw, sw) = (tput.points[0].1, tput.points[1].1, tput.points[2].1);
+    let (hw_ratio, sw_ratio) = (hw / off, sw / off);
+    reg.gauge(MetricKey::aggregate("crypt", "mbps_off"), off);
+    reg.gauge(MetricKey::aggregate("crypt", "mbps_hw"), hw);
+    reg.gauge(MetricKey::aggregate("crypt", "mbps_sw"), sw);
+    reg.gauge(MetricKey::aggregate("crypt", "hw_wire_ratio"), hw_ratio);
+    reg.gauge(MetricKey::aggregate("crypt", "sw_wire_ratio"), sw_ratio);
+    let pages_written = 256 * MB / (64 * KB);
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§5.1: hardware-assist encryption runs at wire speed — within 5% of crypt-off",
+            metric: "crypt.hw_wire_ratio".into(),
+            observed: f3(hw_ratio),
+            target: ">= 0.95".into(),
+            pass: hw_ratio >= 0.95,
+        },
+        Checkpoint {
+            claim: "§5.1: software crypt measurably degrades the same stream",
+            metric: "crypt.sw_wire_ratio".into(),
+            observed: f3(sw_ratio),
+            target: "< 0.90".into(),
+            pass: sw_ratio < 0.90,
+        },
+        Checkpoint {
+            claim: "§5.1: the cipher costs something real in either deployment",
+            metric: "crypt.mbps_off > mbps_hw > mbps_sw".into(),
+            observed: format!("{} > {} > {}", f2(off), f2(hw), f2(sw)),
+            target: "strictly ordered".into(),
+            pass: off > hw && hw > sw,
+        },
+        Checkpoint {
+            claim: "§5.1: the ciphered runs actually ciphered every destaged page",
+            metric: "cluster.pages_ciphered (hw run)".into(),
+            observed: pages_ciphered[1].to_string(),
+            target: format!(">= {pages_written} (pages written)"),
+            pass: pages_ciphered[1] >= pages_written && pages_ciphered[2] == pages_ciphered[1],
+        },
+    ];
+    RunReport { series: vec![tput], checkpoints, registry: reg, ..RunReport::default() }
 }
 
 /// E12 — storage services: PIT-copy duration pinned to one blade vs
@@ -550,9 +947,10 @@ pub fn e11_encryption() -> Vec<Series> {
 /// The service is sliced and interleaved with foreground read batches in
 /// virtual time, so both contend for the same disk queues. The cache is
 /// deliberately small so foreground reads actually reach the disks.
-pub fn e12_services() -> Vec<Series> {
+pub fn e12_services() -> RunReport {
     let mut svc = Series::new("E12 backup-stream duration (s): 0=pinned-1-blade 1=distributed-8");
     let mut fg = Series::new("E12 foreground read p99 (ms): 0=no-service 1=pinned 2=distributed");
+    let mut reg = MetricsRegistry::new();
 
     // 32 disks so the farm's aggregate rate (~1.6 GB/s) comfortably
     // exceeds one blade's 4 Gb/s disk link: a pinned service is then
@@ -624,17 +1022,21 @@ pub fn e12_services() -> Vec<Series> {
         }
         svc.push(i as f64, svc_t.since(base).as_secs_f64());
         fg.push((i + 1) as f64, c.stats.read_latency.p99().as_millis_f64());
+        if i == 1 {
+            collect_cluster(&mut reg, &c, svc_t.max(fg_t));
+        }
     }
-    vec![svc, fg]
+    RunReport { series: vec![svc, fg], registry: reg, ..RunReport::default() }
 }
 
 /// An experiment: (id, title, runner).
-pub type Experiment = (&'static str, &'static str, fn() -> Vec<Series>);
+pub type Experiment = (&'static str, &'static str, fn() -> RunReport);
 
-/// The experiment registry: id, title, runner.
+/// Every experiment `ys-report` runs, in report order: the paper's E1–E12,
+/// the A1–A3 ablations, then the fault, scrub and heal campaign scenarios.
 pub fn registry() -> Vec<Experiment> {
     vec![
-        ("E1", "E1 Figure-1 high-speed striping", e1_striping as fn() -> Vec<Series>),
+        ("E1", "E1 Figure-1 high-speed striping", e1_striping as fn() -> RunReport),
         ("E2", "E2 Figure-2 secure multi-tenant pool", e2_secure_pool),
         ("E3", "E3 Figure-3 geographic deployment", e3_geo_deploy),
         ("E4", "E4 throughput scaling vs blades", e4_scaling),
@@ -646,21 +1048,39 @@ pub fn registry() -> Vec<Experiment> {
         ("E10", "E10 distributed data access", e10_remote_access),
         ("E11", "E11 wire-speed encryption", e11_encryption),
         ("E12", "E12 storage services offload", e12_services),
+        ("A1", "A1 prefetch ablation", ablations::a1_prefetch),
+        ("A2", "A2 rebuild batch-size ablation", ablations::a2_rebuild_batch),
+        ("A3", "A3 coherent-peer-supply ablation", ablations::a3_remote_supply),
+        (
+            "noisy-neighbor",
+            "noisy-neighbor: ys-qos admission control isolates a premium tenant from a scavenger flood",
+            scenarios::noisy_neighbor,
+        ),
+        (
+            "rolling-restart",
+            "rolling-restart: ys-heal drains and rejoins every blade under premium load with zero loss, \
+             bounded p99 impact, and health returning to Healthy",
+            scenarios::rolling_restart,
+        ),
+        (
+            "bitrot-scrub",
+            "bitrot-scrub: a background ys-scrub pass repairs latent rot under foreground load inside the \
+             Scavenger isolation bound",
+            scenarios::bitrot_scrub,
+        ),
+        (
+            "crash-nway",
+            "crash-nway: blade crashes at adversarial instants recover clean; a deliberate N-failure shrinks \
+             to a replayable counterexample (§6.1)",
+            scenarios::crash_nway,
+        ),
+        (
+            "partition-heal",
+            "partition-heal: WAN trunks cut mid-geo-ship heal gapless — the async backlog drains with no \
+             prefix gap (§7)",
+            scenarios::partition_heal,
+        ),
     ]
-}
-
-/// Run the full suite in experiment order.
-pub fn all() -> Vec<(&'static str, Vec<Series>)> {
-    registry().into_iter().map(|(_, title, f)| (title, f())).collect()
-}
-
-/// Run a subset by experiment id (empty filter = everything).
-pub fn all_filtered(filter: &[String]) -> Vec<(&'static str, Vec<Series>)> {
-    registry()
-        .into_iter()
-        .filter(|(id, _, _)| filter.is_empty() || filter.iter().any(|f| f == id))
-        .map(|(_, title, f)| (title, f()))
-        .collect()
 }
 
 /// One cell of the multi-seed confidence sweep: a Zipf read workload on a
@@ -735,5 +1155,84 @@ mod sweep_tests {
         let max = out[1].points[2].1;
         assert!(min > 0.0);
         assert!(max / min < 1.5, "seed-to-seed spread should be modest: {min}..{max} (mean {mean})");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_experiment_passes_its_checkpoints() {
+        for (id, _, run) in registry() {
+            let report = run();
+            for c in &report.checkpoints {
+                assert!(c.pass, "{id}: {}", c.render());
+            }
+            assert!(!report.registry.is_empty(), "{id} collected no metrics");
+        }
+    }
+
+    #[test]
+    fn tracing_is_measurement_neutral() {
+        // The traced runs are the published runs: a trace must never move a
+        // simulated number.
+        let cluster = |traced: bool| {
+            let mut c = BladeCluster::new(ClusterConfig::default().with_blades(4).with_disks(8));
+            if traced {
+                c.enable_tracing(TRACE_CAPACITY);
+            }
+            let vol = c.create_volume("v", 0, GB).unwrap();
+            let mut wl = Workload::zipf(256 * MB, 64 * KB, 1.1, 0.3, 42);
+            let mut t = SimTime::ZERO;
+            let mut done = Vec::new();
+            for i in 0..400 {
+                let op = wl.next_op();
+                t = if op.write {
+                    c.write(t, i % 8, vol, op.offset, op.len, 2, Retention::Normal).unwrap().done
+                } else {
+                    c.read(t, i % 8, vol, op.offset, op.len).unwrap().done
+                };
+                done.push(t);
+            }
+            c.fail_disk(DiskId(1));
+            let mut r = Rebuilder::new(&mut c, t, DiskId(1), 16 * MB, &[0, 1], 32);
+            if traced {
+                r.enable_tracing(TRACE_CAPACITY);
+            }
+            done.push(r.run(&mut c).unwrap());
+            done
+        };
+        assert_eq!(cluster(false), cluster(true));
+
+        let geo = |traced: bool| {
+            let mut ns = NetStorage::new(NetStorageConfig {
+                site_cluster: ClusterConfig::default().with_blades(2).with_disks(6).with_clients(2),
+                ..NetStorageConfig::default()
+            });
+            if traced {
+                ns.enable_tracing(TRACE_CAPACITY);
+            }
+            ns.create_file("/a", FilePolicy { geo: GeoPolicy::async_(2), ..FilePolicy::default() }, SiteId(0))
+                .unwrap();
+            let mut t = SimTime::ZERO;
+            for i in 0..20u64 {
+                t = ns.write_file(t, SiteId(0), 0, "/a", i * MB, MB).unwrap().done;
+            }
+            (t, ns.ship_async(t, u64::MAX).unwrap())
+        };
+        assert_eq!(geo(false), geo(true));
+    }
+
+    #[test]
+    fn e1_trace_is_valid_chrome_json() {
+        let report = e1_striping();
+        assert!(!report.events.is_empty(), "the traced run produced span events");
+        let json = ys_obs::chrome_trace_json(&report.events);
+        let v = serde_json::parse_value(&json).expect("valid Chrome trace JSON");
+        match v.get("traceEvents") {
+            Some(serde_json::Value::Arr(a)) => assert_eq!(a.len(), report.events.len()),
+            other => panic!("traceEvents missing: {other:?}"),
+        }
     }
 }

@@ -190,7 +190,7 @@ impl DrainReport {
 }
 
 /// Read-only snapshot of one resident page (see
-/// [`CacheCluster::resident_pages`]).
+/// [`CacheCluster::resident_pages_iter`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResidentPage {
     pub key: PageKey,
@@ -1056,17 +1056,11 @@ impl CacheCluster {
         self.blades[blade].capacity_pages
     }
 
-    /// Read-only view of every page resident at `blade`, sorted by key.
-    /// External auditors (the `ys-check` model checker) canonicalize cluster
-    /// state from this.
-    pub fn resident_pages(&self, blade: usize) -> Vec<ResidentPage> {
-        self.resident_pages_iter(blade).collect()
-    }
-
-    /// Allocation-free variant of [`CacheCluster::resident_pages`]: the
-    /// blade page table is ordered, so residency can stream out in key
-    /// order without materializing a `Vec`. The model checker canonicalizes
-    /// state once per explored transition through this.
+    /// Read-only view of every page resident at `blade`, in key order: the
+    /// blade page table is ordered, so residency streams out without
+    /// materializing a `Vec`. External auditors (the `ys-check` model
+    /// checker) canonicalize cluster state once per explored transition
+    /// through this.
     pub fn resident_pages_iter(&self, blade: usize) -> impl Iterator<Item = ResidentPage> + '_ {
         self.blades[blade].pages.iter().map(|(key, m)| ResidentPage {
             key: *key,
@@ -1079,11 +1073,6 @@ impl CacheCluster {
 
     /// Recency order (most- to least-recent) of one retention band at
     /// `blade` — the part of blade state that decides future evictions.
-    pub fn lru_order(&self, blade: usize, band: Retention) -> Vec<PageKey> {
-        self.blades[blade].lru.band_keys(band)
-    }
-
-    /// Allocation-free variant of [`CacheCluster::lru_order`].
     pub fn lru_order_iter(&self, blade: usize, band: Retention) -> impl Iterator<Item = &PageKey> + '_ {
         self.blades[blade].lru.band_iter(band)
     }

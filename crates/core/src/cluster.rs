@@ -1267,13 +1267,9 @@ impl BladeCluster {
         self.charge_plan(0, blade, start, plan)
     }
 
-    /// Charge a plan against a specific group.
-    pub fn charge_io_plan_in(&mut self, group: usize, blade: usize, start: SimTime, plan: &IoPlan) -> Result<SimTime, ClusterError> {
-        self.charge_plan(group, blade, start, plan)
-    }
-
-    /// Checksum-verified [`BladeCluster::charge_io_plan_in`]: identical
-    /// timing, plus any reads that hit rotten media. The rebuild driver
+    /// Charge a plan against a specific group, checksum-verified: the
+    /// timing of [`BladeCluster::charge_io_plan`], plus any reads that hit
+    /// rotten media. The rebuild driver
     /// uses this so a latent error on a survivor can never be silently
     /// baked into a reconstructed disk.
     pub fn charge_io_plan_verified_in(

@@ -32,10 +32,7 @@ pub use cluster::{
     ServedFrom,
 };
 pub use config::{ClusterConfig, CostModel, EncryptionConfig, LoadBalance};
-pub use fastpath::{
-    deliver_stream, deliver_stream_traced, deliver_streams_fair, FastPathConfig, StreamDemand,
-    StreamResult, TenantStream,
-};
+pub use fastpath::{deliver_stream, deliver_stream_traced, FastPathConfig, StreamResult};
 pub use frontend::{BlockReply, BlockTarget, FileReply, FileServer, TargetStats};
 pub use legacy::{LegacyArray, LegacyConfig, LegacyMode, LegacyStats};
 pub use netstorage::{DisasterReport, GeoStats, NetError, NetStorage, NetStorageConfig, SiteReport, SystemReport};

@@ -14,10 +14,9 @@
 //!   into the registry address space;
 //! * [`chrome`] — serialization of drained span events to Chrome
 //!   `trace_event` JSON for `chrome://tracing` / Perfetto;
-//! * [`report`] — aligned tables and paper-claim [`Checkpoint`]s;
-//! * [`scenarios`] — named runs (`stripe4x2`, `hotspot`, `nway`,
-//!   `rebuild`, `georep`) that reproduce the paper's quantitative claims
-//!   end to end, consumed by the `ys-report` binary.
+//! * [`report`] — aligned tables, paper-claim [`Checkpoint`]s, and the
+//!   [`RunReport`] every `ys-bench` experiment returns to the `ys-report`
+//!   binary.
 //!
 //! Instrumentation is measurement-neutral by construction: recorders are
 //! written to *after* the timing math, so a traced run and an untraced run
@@ -27,7 +26,6 @@ pub mod chrome;
 pub mod collect;
 pub mod registry;
 pub mod report;
-pub mod scenarios;
 
 pub use chrome::chrome_trace_json;
 pub use collect::{collect_cache, collect_cluster, collect_geo, collect_qos, record_trace_drops};

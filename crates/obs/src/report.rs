@@ -1,7 +1,8 @@
-//! Run reports: aligned tables, paper-claim checkpoints, and the bundle a
-//! scenario hands to the `ys-report` CLI.
+//! Run reports: aligned tables, paper-claim checkpoints, and the bundle an
+//! experiment hands to the `ys-report` CLI.
 
 use crate::registry::MetricsRegistry;
+use ys_simcore::stats::Series;
 use ys_simcore::SpanEvent;
 
 /// One verifiable claim from the paper, checked against a live metric.
@@ -92,11 +93,12 @@ impl Table {
     }
 }
 
-/// Everything one scenario run produced.
-#[derive(Clone, Debug)]
+/// Everything one experiment run produced.
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
-    pub scenario: &'static str,
     pub tables: Vec<Table>,
+    /// The labelled series EXPERIMENTS.md publishes.
+    pub series: Vec<Series>,
     pub checkpoints: Vec<Checkpoint>,
     pub registry: MetricsRegistry,
     /// Structured trace, time-sorted, ready for [`crate::chrome`].
@@ -110,28 +112,24 @@ impl RunReport {
         self.checkpoints.iter().all(|c| c.pass)
     }
 
-    /// Human-readable rendering: tables, then checkpoints, then the trace
-    /// ledger line.
-    pub fn render(&self) -> String {
-        let mut out = format!("=== ys-report: {} ===\n\n", self.scenario);
+    /// Human-readable rendering under a banner: tables, then series, then
+    /// one line per checkpoint.
+    pub fn render(&self, title: &str) -> String {
+        let rule = "=".repeat(64);
+        let mut out = format!("{rule}\n{title}\n{rule}\n");
         for t in &self.tables {
             out.push_str(&t.render());
             out.push('\n');
         }
-        if !self.checkpoints.is_empty() {
-            out.push_str("paper checkpoints\n");
-            for c in &self.checkpoints {
-                out.push_str("  ");
-                out.push_str(&c.render());
-                out.push('\n');
-            }
+        for s in &self.series {
+            out.push_str(&s.render("x", "y"));
+        }
+        for c in &self.checkpoints {
+            out.push_str("  ");
+            out.push_str(&c.render());
             out.push('\n');
         }
-        out.push_str(&format!(
-            "trace: {} events captured, {} dropped to ring overflow\n",
-            self.events.len(),
-            self.dropped
-        ));
+        out.push('\n');
         out
     }
 }

@@ -124,12 +124,6 @@ impl TenantSpec {
         self.floor_mb_per_sec = mb;
         self
     }
-
-    /// Effective weight after collapsing the class/tenant hierarchy:
-    /// class base weight × tenant weight.
-    pub fn effective_weight(&self) -> u64 {
-        self.class.base_weight() * self.weight
-    }
 }
 
 /// Cluster-wide QoS policy: the tenant table plus backpressure knobs.
@@ -189,11 +183,6 @@ impl QosConfig {
         self.tenants.iter().find(|t| t.id == id)
     }
 
-    /// Collapsed per-tenant WFQ weight (class × tenant), 1 for unknowns.
-    pub fn effective_weight(&self, id: u32) -> u64 {
-        self.tenant(id).map(TenantSpec::effective_weight).unwrap_or(1)
-    }
-
     /// Charge-back class id for a tenant (0 = unclassified).
     pub fn class_id(&self, id: u32) -> u8 {
         self.tenant(id).map(|t| t.class.id()).unwrap_or(0)
@@ -229,8 +218,7 @@ mod tests {
         assert_eq!(cfg.tenants.len(), 2);
         assert_eq!(cfg.tenants[0].id, 3);
         assert_eq!(cfg.tenant(7).map(|t| t.class), Some(QosClass::Scavenger));
-        assert_eq!(cfg.effective_weight(3), 8 * 2);
-        assert_eq!(cfg.effective_weight(99), 1);
+        assert_eq!(cfg.tenant(3).map(|t| t.weight), Some(2));
         assert_eq!(cfg.class_id(7), QosClass::Scavenger.id());
         assert_eq!(cfg.class_id(99), 0);
     }
