@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the hot kernels: GF(2⁸) parity math, the cipher,
-//! the LRU, the extent map, the coherence protocol, and the event engine.
-//! These are the per-operation costs the whole simulator's wall time rests
-//! on.
+//! the LRU, the extent map, the coherence protocol, and one cached
+//! `BladeCluster` read. These are the per-operation costs the whole
+//! simulator's wall time rests on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

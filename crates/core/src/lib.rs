@@ -23,7 +23,6 @@ pub mod frontend;
 pub mod legacy;
 pub mod netstorage;
 pub mod rebuild;
-pub mod scenario;
 pub mod services;
 
 pub use admin::{AdminError, AdminOp, AdminOutcome, ManagementPlane};
@@ -37,5 +36,4 @@ pub use frontend::{BlockReply, BlockTarget, FileReply, FileServer, TargetStats};
 pub use legacy::{LegacyArray, LegacyConfig, LegacyMode, LegacyStats};
 pub use netstorage::{DisasterReport, GeoStats, NetError, NetStorage, NetStorageConfig, SiteReport, SystemReport};
 pub use rebuild::Rebuilder;
-pub use scenario::{run_scenario, ScenarioResult};
 pub use services::{run_service, ServiceJob, ServiceResult};

@@ -10,9 +10,8 @@
 
 use ys_simcore::time::SimDuration;
 
-/// Service class, ordered by privilege. Class determines the *coarse*
-/// bandwidth share (class weights in the WFQ hierarchy) and how the
-/// tenant is treated under backpressure: `Premium` is never penalized,
+/// Service class, ordered by privilege. Class determines how the tenant
+/// is treated under backpressure: `Premium` is never penalized,
 /// `Standard` is delayed, `Scavenger` is shed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QosClass {
@@ -22,15 +21,6 @@ pub enum QosClass {
 }
 
 impl QosClass {
-    /// Class-level WFQ weight (the outer level of the hierarchy).
-    pub fn base_weight(self) -> u64 {
-        match self {
-            QosClass::Premium => 8,
-            QosClass::Standard => 4,
-            QosClass::Scavenger => 1,
-        }
-    }
-
     /// Stable wire id for charge-back records (0 = unclassified).
     pub fn id(self) -> u8 {
         match self {
@@ -65,7 +55,7 @@ pub struct TenantSpec {
     pub id: u32,
     pub name: String,
     pub class: QosClass,
-    /// Scheduling weight *within* the class (inner WFQ level).
+    /// Scheduling weight; configuration only, no scheduler reads it.
     pub weight: u64,
     /// Token-bucket sustained rate in bytes/second; 0 = unthrottled.
     pub rate_bytes_per_sec: u64,

@@ -1,4 +1,4 @@
-//! `ys-simcore` — deterministic discrete-event simulation substrate for the
+//! `ys-simcore` — deterministic simulation substrate for the
 //! yottastore reproduction.
 //!
 //! Provides the pieces every other crate builds on:
@@ -9,7 +9,6 @@
 //!   (uniform, exponential, log-normal, [`Zipf`] hot-spot skew);
 //! * [`stats`] — counters, latency histograms, rate meters, and the
 //!   [`Series`] text tables benches print;
-//! * [`fault`] — deterministic failure-injection [`FaultPlan`]s;
 //! * [`trace`] — the [`SpanRecorder`] event spine replay and chaos testing
 //!   hang off.
 //!
@@ -17,13 +16,11 @@
 //! *independent* runs lives in the `ys-sweep` harness crate, never in the
 //! simulation substrate.
 
-pub mod fault;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use fault::{Availability, FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use rng::{Rng, Zipf};
 pub use stats::{Counter, LatencyHisto, RateMeter, Series};
 pub use time::{Bandwidth, SimDuration, SimTime};

@@ -78,6 +78,24 @@ if ! cargo run -q --release -p ys-bench --bin ys-report -- --trace-out "$tmpdir/
 fi
 echo "    all $(grep -c '\[PASS\]' "$tmpdir/suite.txt") checkpoints passed"
 
+# Scenario files: every shipped spec must run (exit 0), and a malformed one
+# (a fault naming a disk the cluster does not have) must be rejected with
+# exit 2, not a panic.
+echo "==> simulate: shipped scenarios run, a malformed spec exits 2"
+for spec in scenarios/*.json; do
+    if ! cargo run -q --release -p ys-bench --bin simulate -- "$spec" > "$tmpdir/simulate.json"; then
+        echo "FAIL: simulate $spec did not exit 0" >&2
+        exit 1
+    fi
+done
+status=0
+echo '{"faults": [{"disk_fail": {"disk": 99}}]}' | cargo run -q --release -p ys-bench --bin simulate > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "FAIL: a malformed spec exited $status, expected 2" >&2
+    exit 1
+fi
+echo "    shipped scenarios ran; malformed spec exited 2"
+
 echo "==> ys-check --security --depth 7 (exhaustive §5 enforcement model)"
 cargo run -q -p ys-check --release -- --security --depth 7
 
