@@ -17,9 +17,8 @@ use crate::lru::{LruList, Retention};
 use std::collections::BTreeMap;
 use ys_simcore::SpanRecorder;
 
-/// Lifecycle state of one controller blade (§2.1's scale-by-adding-blades
-/// plus §6.1's repair-after-failure). Blades move
-/// `Up → Draining → Down → Rejoining → Up`.
+/// Lifecycle state of one controller blade (planned drains plus §6.1's
+/// repair-after-failure). Blades move `Up → Draining → Down → Rejoining → Up`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum BladeState {
     /// Full participant.
@@ -782,23 +781,6 @@ impl CacheCluster {
         }
     }
 
-    /// Grow the cluster by one brand-new blade (§2.1's scale-by-adding-
-    /// blades): it joins in `Rejoining` state, folds into directory home
-    /// placement, and starts taking fills and replicas immediately.
-    /// Returns the new blade's id.
-    pub fn add_blade(&mut self, capacity_pages: usize) -> usize {
-        self.blades.push(BladeSlot {
-            capacity_pages,
-            lru: LruList::new(),
-            pages: BTreeMap::new(),
-            state: BladeState::Rejoining,
-        });
-        let id = self.directory.add_blade();
-        self.stats.per_blade.push(BladeCacheStats::default());
-        self.trace.instant("cache", "add_blade", id as u32, 0, 0);
-        id
-    }
-
     /// Planned shutdown: evacuate every copy `blade` holds, with zero loss
     /// of acknowledged writes, then take it `Down`.
     ///
@@ -1013,10 +995,22 @@ impl CacheCluster {
         }
     }
 
-    /// Write under the degraded-mode governor: refused with an explicit
-    /// error (and audit trace event) when the cluster is [`Health::ReadOnly`]
-    /// — better to fail the write than to accept data one more failure
-    /// would silently lose.
+    /// The degraded-mode governor's write-refusal rule: at
+    /// [`Health::ReadOnly`] a write of `key` through `blade` is refused with
+    /// an explicit error and a `("heal", "write_refused")` audit event —
+    /// better to fail the write than to accept data one more failure would
+    /// silently lose. The governed core write path and
+    /// [`CacheCluster::governed_write`] both run this one rule.
+    pub fn admit_write(&mut self, blade: usize, key: PageKey) -> Result<(), CacheError> {
+        if self.health() == Health::ReadOnly {
+            self.trace.instant("heal", "write_refused", blade as u32, key.page, key.volume as u64);
+            return Err(CacheError::ReadOnly);
+        }
+        Ok(())
+    }
+
+    /// Write under the degraded-mode governor:
+    /// [`CacheCluster::admit_write`], then [`CacheCluster::write`].
     pub fn governed_write(
         &mut self,
         blade: usize,
@@ -1024,10 +1018,7 @@ impl CacheCluster {
         n_way: usize,
         retention: Retention,
     ) -> Result<WriteOutcome, CacheError> {
-        if self.health() == Health::ReadOnly {
-            self.trace.instant("cache", "write_refused", blade as u32, key.page, key.volume as u64);
-            return Err(CacheError::ReadOnly);
-        }
+        self.admit_write(blade, key)?;
         self.write(blade, key, n_way, retention)
     }
 
@@ -1369,25 +1360,6 @@ mod tests {
         assert!(c.finish_rejoin(1));
         assert_eq!(c.blade_state(1), BladeState::Up);
         assert!(!c.finish_rejoin(1), "no-op on an already-up blade");
-    }
-
-    #[test]
-    fn add_blade_grows_pool_and_takes_heal_replicas() {
-        let mut c = CacheCluster::new(2, 8);
-        c.write(0, key(5), 2, Retention::Normal).unwrap();
-        // Kill the replica holder: page under target, nowhere to heal to.
-        c.fail_blade(1);
-        assert_eq!(c.under_target_pages(), vec![(key(5), 1)]);
-        assert_eq!(c.add_replica(key(5)), Err(CacheError::NoEligiblePeer));
-        // A new blade joins and takes the healed replica.
-        let b = c.add_blade(8);
-        assert_eq!(b, 2);
-        assert_eq!(c.blade_count(), 3);
-        assert_eq!(c.blade_state(b), BladeState::Rejoining);
-        assert_eq!(c.add_replica(key(5)), Ok(b));
-        assert!(c.under_target_pages().is_empty());
-        assert_eq!(c.stats().heal_placements, 1);
-        c.check_invariants().unwrap();
     }
 
     #[test]

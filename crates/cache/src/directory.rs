@@ -89,15 +89,6 @@ impl Directory {
         self.blades
     }
 
-    /// Grow the directory by one home shard (a blade joined the cluster,
-    /// §2.1's scale-by-adding-blades). Future `home` hashes spread over the
-    /// wider cluster; existing entries stay where they are.
-    pub fn add_blade(&mut self) -> usize {
-        self.blades += 1;
-        self.shard_lookups.push(0);
-        self.blades - 1
-    }
-
     pub fn entry(&mut self, key: PageKey) -> &mut DirEntry {
         self.shard_lookups[key.home(self.blades)] += 1;
         self.entries.entry(key).or_default()

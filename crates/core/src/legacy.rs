@@ -163,17 +163,16 @@ impl LegacyArray {
         }
     }
 
-    fn charge_disk_read(&mut self, _c: usize, t: SimTime, phys: u64, len: u64) -> SimTime {
-        let plan = ys_raid::read_plan(&self.raid, phys, len, &vec![false; self.cfg.disks]).expect("healthy");
+    /// Charge the member reads of `[phys, phys+len)`; `None` when the span
+    /// cannot be served (beyond the medium).
+    fn charge_disk_read(&mut self, t: SimTime, phys: u64, len: u64) -> Option<SimTime> {
+        let plan = ys_raid::read_plan(&self.raid, phys, len, &vec![false; self.cfg.disks]).ok()?;
         let mut done = t;
         for io in &plan.reads {
-            let d = self
-                .farm
-                .submit(DiskId(io.member), t, DiskOp::Read { offset: io.offset, bytes: io.bytes })
-                .expect("healthy disk");
+            let d = self.farm.submit(DiskId(io.member), t, DiskOp::Read { offset: io.offset, bytes: io.bytes }).ok()?;
             done = done.max(d);
         }
-        done
+        Some(done)
     }
 
     fn charge_disk_write(&mut self, c: usize, t: SimTime, phys: u64, len: u64) {
@@ -191,7 +190,8 @@ impl LegacyArray {
         }
     }
 
-    /// Read through the owning controller's private cache.
+    /// Read through the owning controller's private cache. `None` when no
+    /// controller is up or the span lies beyond the medium.
     pub fn read(&mut self, now: SimTime, vol: u32, offset: u64, len: u64) -> Option<SimDuration> {
         let c = self.owner(vol)?;
         let pb = self.cfg.page_bytes;
@@ -206,7 +206,7 @@ impl LegacyArray {
                 self.cpus[c].transfer(t0, pb.min(len)).arrival
             } else {
                 self.stats.misses += 1;
-                let disk_done = self.charge_disk_read(c, t0, page * pb, pb);
+                let disk_done = self.charge_disk_read(t0, page * pb, pb)?;
                 self.evict_for(c);
                 self.controllers[c].pages.insert(key, (false, self.version));
                 self.controllers[c].lru.insert(key, Retention::Normal);
@@ -282,10 +282,6 @@ impl LegacyArray {
         }
         self.stats.dirty_pages_lost += lost;
         lost
-    }
-
-    pub fn controller_up(&self, c: usize) -> bool {
-        self.controllers[c].up
     }
 
     /// Per-controller CPU utilization — shows the hot-spot problem.

@@ -3,10 +3,16 @@
 //! blades, reproduced over deterministic simulated hardware.
 //!
 //! * [`config`] — cluster configuration and the era cost model;
-//! * [`cluster`] — [`BladeCluster`]: the single-site data path — pooled
-//!   coherent cache, N-way write-back replication, DMSD virtualization,
-//!   RAID destage, load balancing, blade/disk failures (§2, §3, §6),
-//!   plus per-tenant QoS admission via `ys-qos` (`read_as`/`write_as`);
+//! * [`cluster`] — [`BladeCluster`]: the single-site machine (§2, §3, §6).
+//!   `cluster/mod.rs` is the data path — load balancing, per-tenant QoS
+//!   admission via `ys-qos` (`read_as`/`write_as`), pooled coherent cache,
+//!   N-way write-back replication, DMSD mapping, readahead, RAID destage,
+//!   and `charge_io_plan`, the one function that charges disk I/O. Its
+//!   other concerns are their own impl modules: `cluster/volumes.rs`
+//!   (volume lifecycle, snapshots, migration, charge-back),
+//!   `cluster/integrity.rs` (keys, media tags, corruption injection, scrub
+//!   verify/repair) and `cluster/lifecycle.rs` (blade and disk failure,
+//!   drain, revive, heal, health);
 //! * [`fastpath`] — the Figure 1 high-speed striped stream engine (§2.3, §8);
 //! * [`rebuild`] — distributed, fault-tolerant RAID rebuild (§2.4, §6.3);
 //! * [`services`] — load-balanced PIT-copy/backup services (§2.4);
@@ -26,10 +32,7 @@ pub mod rebuild;
 pub mod services;
 
 pub use admin::{AdminError, AdminOp, AdminOutcome, ManagementPlane};
-pub use cluster::{
-    BladeCluster, ClusterError, ClusterStats, Completion, PageVerify, RaidGroup, ReadMismatch,
-    ServedFrom,
-};
+pub use cluster::{BladeCluster, ClusterError, ClusterStats, Completion, PageVerify, RaidGroup, ReadMismatch};
 pub use config::{ClusterConfig, CostModel, EncryptionConfig, LoadBalance};
 pub use fastpath::{deliver_stream, deliver_stream_traced, FastPathConfig, StreamResult};
 pub use frontend::{BlockReply, BlockTarget, FileReply, FileServer, TargetStats};

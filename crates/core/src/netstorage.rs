@@ -135,14 +135,14 @@ impl NetStorage {
             let mut c = BladeCluster::new(cfg.site_cluster.clone());
             // Volume 0 at every site backs the global namespace; identical
             // layouts keep file extents addressable at any replica site.
+            // lint: allow(panic-path) — a fresh cluster always has room for its first volume
             let v = c.create_volume("fs", 0, 1 << 40).expect("fs volume");
             debug_assert_eq!(v, VolumeId(0));
             // One backing volume per additional RAID group, so §4's
             // per-file RAID override has somewhere to place data.
             for (gi, _spec) in specs.iter().enumerate().skip(1) {
-                let cv = c
-                    .create_volume_in(gi, &format!("fs-class{gi}"), 0, 1 << 40)
-                    .expect("class volume");
+                // lint: allow(panic-path) — group gi exists by construction and is empty
+                let cv = c.create_volume_in(gi, &format!("fs-class{gi}"), 0, 1 << 40).expect("class volume");
                 if site == 0 {
                     class_volumes.push(cv);
                 }
@@ -257,7 +257,7 @@ impl NetStorage {
             let mut frame = plain;
             ys_security::ctr_xor(&key, seq, 0, &mut frame);
             debug_assert_ne!(frame, plain, "ciphertext must differ from plaintext");
-            depart += self.crypt_cost(from, bytes);
+            depart += self.clusters[from.0].crypt_time(bytes, true);
             // The link only ever carries `frame` (ciphertext); the receiver
             // deciphers with the same (key, nonce) and must round-trip.
             let mut received = frame;
@@ -268,18 +268,7 @@ impl NetStorage {
             self.stats.wire_frames_plaintext += 1;
         }
         let arrival = self.wan[from.0][to.0].as_mut().map(|l| l.transfer(depart, bytes).arrival)?;
-        Some(if enc.in_transit { arrival + self.crypt_cost(to, bytes) } else { arrival })
-    }
-
-    /// Virtual-time cost of one cipher pass over `bytes` at `site`.
-    fn crypt_cost(&self, site: SiteId, bytes: u64) -> SimDuration {
-        let cfg = self.clusters[site.0].config();
-        let per_byte = if cfg.encryption.hardware_assist {
-            cfg.cost.hw_crypt_ns_per_byte
-        } else {
-            cfg.cost.sw_crypt_ns_per_byte
-        };
-        SimDuration::from_nanos((bytes as f64 * per_byte) as u64)
+        Some(arrival + self.clusters[to.0].crypt_time(bytes, enc.in_transit))
     }
 
     /// Create a file homed at `site` with the given policy.

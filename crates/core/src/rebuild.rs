@@ -29,7 +29,8 @@ impl Rebuilder {
     ) -> Rebuilder {
         assert!(!blades.is_empty());
         cluster.replace_disk(disk);
-        let (group, member) = cluster.group_of_disk(disk);
+        // lint: allow(panic-path) — `new` is infallible by signature and every caller names a farm disk
+        let (group, member) = cluster.group_of_disk(disk).expect("rebuild target is a farm disk");
         let geo = cluster.group(group).geo;
         Rebuilder {
             coord: RebuildCoordinator::new(geo, member, region_bytes, batch_rows),
@@ -92,17 +93,15 @@ impl Rebuilder {
     /// `Ok(false)` when no work remains (rebuild finished or finishing).
     pub fn step(&mut self, cluster: &mut BladeCluster) -> Result<bool, ClusterError> {
         // Earliest available live worker.
-        let Some(widx) = self
+        let Some((widx, blade, avail)) = self
             .workers
             .iter()
             .enumerate()
-            .filter_map(|(i, w)| w.map(|(_, t)| (i, t)))
-            .min_by_key(|&(_, t)| t)
-            .map(|(i, _)| i)
+            .filter_map(|(i, w)| w.map(|(b, t)| (i, b, t)))
+            .min_by_key(|&(_, _, t)| t)
         else {
             return Ok(false);
         };
-        let (blade, avail) = self.workers[widx].expect("picked live worker");
         self.coord.trace_mut().set_now(avail);
         let Some(batch) = self.coord.claim(blade) else {
             if self.coord.is_done() && self.finished_at.is_none() {
@@ -117,9 +116,10 @@ impl Rebuilder {
         // silently into the replacement. The batch still completes (coverage
         // must finish), but the affected replacement spans are poisoned so
         // they stay detectable until a scrub repairs them.
-        let t = match cluster.charge_io_plan_verified_in(self.group, blade, avail, &plan) {
+        let t = match cluster.charge_io_plan(self.group, blade, avail, &plan) {
             Ok((t, mismatches)) => {
                 if !mismatches.is_empty() {
+                    cluster.stats.integrity_errors += mismatches.len() as u64;
                     cluster.poison_rebuilt_spans(self.disk, &mismatches);
                 }
                 t

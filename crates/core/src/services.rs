@@ -3,7 +3,6 @@
 //! "go faster and not impede active I/O rates being delivered to servers".
 
 use crate::cluster::{BladeCluster, ClusterError};
-use ys_raid::{IoPlan, MemberIo};
 use ys_simcore::time::SimTime;
 
 /// A bulk-copy service job (PIT copy, backup stream, mirror creation).
@@ -48,16 +47,12 @@ pub fn run_service(
         let blade = blades[w];
         // Read the source chunk…
         let read = ys_raid::read_plan(&geo, job.src_offset + pos, take, &failed)?;
-        let mut t = cluster.charge_io_plan(blade, worker_time[w], &read)?;
-        // …and write the destination (if copying, not just backing up).
+        let (mut t, _) = cluster.charge_io_plan(0, blade, worker_time[w], &read)?;
+        // …and write the destination (if copying; a backup stream is
+        // charged as the pure read above).
         if let Some(dst) = job.dst_offset {
             let write = ys_raid::write_plan(&geo, dst + pos, take, &failed)?;
-            t = cluster.charge_io_plan(blade, t, &write)?;
-        } else {
-            // Backup stream: ship the chunk out of the blade (charged as a
-            // pure read; the network egress shares the host fabric, which
-            // foreground I/O also uses — captured by the read plan reads).
-            let _ = IoPlan { reads: vec![], writes: Vec::<MemberIo>::new() };
+            t = cluster.charge_io_plan(0, blade, t, &write)?.0;
         }
         worker_time[w] = t;
         pos += take;

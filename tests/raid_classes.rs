@@ -33,9 +33,10 @@ fn groups_partition_the_farm() {
     assert_eq!(c.group(0).geo.level, RaidLevel::Raid5);
     assert_eq!(c.group(1).geo.level, RaidLevel::Raid1 { copies: 2 });
     assert_eq!(c.group(2).geo.level, RaidLevel::Raid0);
-    assert_eq!(c.group_of_disk(DiskId(3)), (0, 3));
-    assert_eq!(c.group_of_disk(DiskId(9)), (1, 1));
-    assert_eq!(c.group_of_disk(DiskId(14)), (2, 2));
+    assert_eq!(c.group_of_disk(DiskId(3)), Some((0, 3)));
+    assert_eq!(c.group_of_disk(DiskId(9)), Some((1, 1)));
+    assert_eq!(c.group_of_disk(DiskId(14)), Some((2, 2)));
+    assert_eq!(c.group_of_disk(DiskId(16)), None, "outside the farm");
     assert_eq!(c.group_for_level(RaidLevel::Raid0), Some(2));
     assert_eq!(c.group_for_level(RaidLevel::Raid6), None);
 }
