@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the hot kernels: GF(2⁸) parity math, the cipher,
-//! the LRU, the extent map, the coherence protocol, and one cached
-//! `BladeCluster` read. These are the per-operation costs the whole
+//! the LRU, the extent map, the coherence protocol, one cached
+//! `BladeCluster` read, and one QoS-tenant write under the health governor
+//! over a warm cache. These are the per-operation costs the whole
 //! simulator's wall time rests on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -115,6 +116,37 @@ fn bench_full_cluster_op(c: &mut Criterion) {
             let r = cl.read(t, 0, vol, 0, 64 * 1024).unwrap();
             t = r.done;
             black_box(r.latency)
+        })
+    });
+    // QoS admission samples the cache's dirty ratio and the governor checks
+    // for read-only on every such write: both must stay O(blades). The
+    // cache is warmed (8 blades x 4096 pages) through the same governed
+    // QoS path, so an O(cached pages) walk on it shows here, in the setup
+    // as well as in the timed write.
+    c.bench_function("cluster_governed_qos_write_op", |b| {
+        use ys_qos::{QosClass, QosConfig, TenantSpec};
+        const BLADES: usize = 8;
+        const PAGES: u64 = BLADES as u64 * 4096;
+        const TENANT: u32 = 1;
+        let qos = QosConfig::new().with_tenant(TenantSpec::new(TENANT, "fg", QosClass::Premium));
+        let cfg = ClusterConfig::default().with_blades(BLADES).with_qos(qos).with_health_governor();
+        let pb = cfg.page_bytes;
+        let mut cl = BladeCluster::new(cfg);
+        let vol = cl.create_volume("v", TENANT, PAGES * pb).unwrap();
+        let mut t = SimTime::ZERO;
+        for p in 0..PAGES {
+            t = cl.write_as(t, TENANT, p as usize % BLADES, vol, p * pb, pb, 2, Retention::Normal).unwrap().done;
+            if p % 256 == 255 {
+                t = t.max(cl.drain());
+            }
+        }
+        t = t.max(cl.drain());
+        let mut p = 0;
+        b.iter(|| {
+            let w = cl.write_as(t, TENANT, 0, vol, p * pb, pb, 2, Retention::Normal).unwrap();
+            t = w.done;
+            p = (p + 1) % PAGES;
+            black_box(w.latency)
         })
     });
 }

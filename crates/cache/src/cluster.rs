@@ -98,10 +98,38 @@ pub(crate) struct BladeSlot {
     /// Ordered so that blade-failure sweeps (and the FailureReport they
     /// build) visit pages in key order, independent of any hasher seed.
     pub(crate) pages: BTreeMap<PageKey, PageMeta>,
+    /// Un-destaged pages held: dirty owner copies plus pinned replicas.
+    /// Kept by [`BladeSlot::put`] and [`BladeSlot::take`] so the QoS
+    /// pressure sample reads it instead of scanning `pages`.
+    pub(crate) undestaged: usize,
     pub(crate) state: BladeState,
 }
 
+impl PageMeta {
+    /// Holds state that disk does not have yet: a dirty owner copy or a
+    /// pinned replica.
+    pub(crate) fn undestaged(&self) -> bool {
+        matches!(self.residency, Residency::Cached { dirty: true, .. } | Residency::Replica)
+    }
+}
+
 impl BladeSlot {
+    /// Insert or replace `key`'s copy, returning the copy it replaced. The
+    /// one way a page enters `pages`.
+    fn put(&mut self, key: PageKey, meta: PageMeta) -> Option<PageMeta> {
+        self.undestaged += usize::from(meta.undestaged());
+        let old = self.pages.insert(key, meta);
+        self.undestaged -= usize::from(old.as_ref().is_some_and(PageMeta::undestaged));
+        old
+    }
+
+    /// Remove `key`'s copy, returning it. The one way a page leaves `pages`.
+    fn take(&mut self, key: &PageKey) -> Option<PageMeta> {
+        let old = self.pages.remove(key);
+        self.undestaged -= usize::from(old.as_ref().is_some_and(PageMeta::undestaged));
+        old
+    }
+
     fn occupancy(&self) -> usize {
         self.pages.len()
     }
@@ -305,6 +333,7 @@ impl CacheCluster {
                     capacity_pages: capacity_pages_per_blade,
                     lru: LruList::new(),
                     pages: BTreeMap::new(),
+                    undestaged: 0,
                     state: BladeState::Up,
                 })
                 .collect(),
@@ -381,14 +410,11 @@ impl CacheCluster {
             }
             let victim = {
                 let pages = &slot.pages;
-                slot.lru.evict_where(|k| match pages.get(k) {
-                    Some(m) => !matches!(m.residency, Residency::Cached { dirty: false, .. }),
-                    None => true,
-                })
+                slot.lru.evict_where(|k| pages.get(k).is_none_or(PageMeta::undestaged))
             };
             match victim {
                 Some(key) => {
-                    self.blades[blade].pages.remove(&key);
+                    self.blades[blade].take(&key);
                     self.detach_holder(key, blade);
                     self.stats.evictions += 1;
                     self.stats.per_blade[blade].evictions += 1;
@@ -489,7 +515,7 @@ impl CacheCluster {
         }
         let evicted = self.make_room(blade)?;
         let version = self.directory.entry(key).version;
-        self.blades[blade].pages.insert(
+        self.blades[blade].put(
             key,
             PageMeta { residency: Residency::Cached { state: PageState::Shared, dirty: false }, retention, version },
         );
@@ -529,7 +555,7 @@ impl CacheCluster {
             None => vec![],
         };
         for h in &holders {
-            self.blades[*h].pages.remove(&key);
+            self.blades[*h].take(&key);
             self.blades[*h].lru.remove(&key);
             self.stats.invalidations += 1;
             self.stats.per_blade[*h].invalidations += 1;
@@ -539,7 +565,7 @@ impl CacheCluster {
         let old_replicas: Vec<usize> = self.directory.entry(key).replicas.clone();
         for r in old_replicas {
             if r != blade {
-                self.blades[r].pages.remove(&key);
+                self.blades[r].take(&key);
                 self.blades[r].lru.remove(&key);
             }
         }
@@ -554,7 +580,7 @@ impl CacheCluster {
             e.protect = n_way;
             e.version
         };
-        self.blades[blade].pages.insert(
+        self.blades[blade].put(
             key,
             PageMeta { residency: Residency::Cached { state: PageState::Modified, dirty: true }, retention, version },
         );
@@ -580,7 +606,7 @@ impl CacheCluster {
                     // Peer saturated with dirty data; skip it rather than stall.
                     continue;
                 }
-                self.blades[target].pages.insert(
+                self.blades[target].put(
                     key,
                     PageMeta { residency: Residency::Replica, retention, version },
                 );
@@ -603,13 +629,17 @@ impl CacheCluster {
         };
         let owner = owner.ok_or(CacheError::BadState)?;
         for r in replicas {
-            self.blades[r].pages.remove(&key);
+            self.blades[r].take(&key);
             self.blades[r].lru.remove(&key);
         }
-        if let Some(meta) = self.blades[owner].pages.get_mut(&key) {
+        let slot = &mut self.blades[owner];
+        if let Some(meta) = slot.pages.get_mut(&key) {
+            // Cleaned in place rather than through `put`, so the owner's
+            // un-destaged count drops here.
+            slot.undestaged -= usize::from(meta.undestaged());
             meta.residency = Residency::Cached { state: PageState::Shared, dirty: false };
             let retention = meta.retention;
-            self.blades[owner].lru.insert(key, retention);
+            slot.lru.insert(key, retention);
         }
         let e = self.directory.entry(key);
         e.replicas.clear();
@@ -638,43 +668,31 @@ impl CacheCluster {
             None => return,
         };
         for b in holders {
-            self.blades[b].pages.remove(&key);
+            self.blades[b].take(&key);
             self.blades[b].lru.remove(&key);
         }
         self.directory.remove(&key);
     }
 
-    /// Pages currently dirty at `blade` (owner copies awaiting destage).
     /// Fraction of the pooled cache holding un-destaged state: dirty
     /// owner pages plus their protection replicas, over the pooled
     /// capacity of up blades. This is the backpressure signal the QoS
     /// admission controller keys off (`ys-qos`): a high dirty ratio
     /// means writes are outrunning destage and new low-priority work
     /// should be delayed or shed. Returns 0 when no capacity is up.
+    ///
+    /// Reads each blade's maintained un-destaged count, so it costs
+    /// O(blades), not O(cached pages): it runs on every QoS-tenant I/O.
     pub fn dirty_ratio(&self) -> f64 {
         let capacity = self.pooled_capacity();
         if capacity == 0 {
             return 0.0;
         }
-        let undestaged: usize = self
-            .blades
-            .iter()
-            .filter(|b| b.serving())
-            .map(|b| {
-                b.pages
-                    .values()
-                    .filter(|m| {
-                        matches!(
-                            m.residency,
-                            Residency::Cached { dirty: true, .. } | Residency::Replica
-                        )
-                    })
-                    .count()
-            })
-            .sum();
+        let undestaged: usize = self.blades.iter().filter(|b| b.serving()).map(|b| b.undestaged).sum();
         undestaged as f64 / capacity as f64
     }
 
+    /// Pages currently dirty at `blade` (owner copies awaiting destage).
     pub fn dirty_pages(&self, blade: usize) -> Vec<PageKey> {
         self.blades[blade]
             .pages
@@ -694,6 +712,7 @@ impl CacheCluster {
         self.blades[blade].state = BladeState::Down;
         let held: Vec<(PageKey, PageMeta)> =
             std::mem::take(&mut self.blades[blade].pages).into_iter().collect();
+        self.blades[blade].undestaged = 0;
         self.blades[blade].lru = LruList::new();
 
         for (key, meta) in held {
@@ -710,7 +729,7 @@ impl CacheCluster {
                         e.replicas.retain(|&r| r != survivor);
                         let version = e.version;
                         let retention = meta.retention;
-                        self.blades[survivor].pages.insert(
+                        self.blades[survivor].put(
                             key,
                             PageMeta {
                                 residency: Residency::Cached { state: PageState::Modified, dirty: true },
@@ -816,7 +835,7 @@ impl CacheCluster {
                             e.replicas.retain(|&r| r != survivor);
                             (e.version, meta.retention)
                         };
-                        self.blades[survivor].pages.insert(
+                        self.blades[survivor].put(
                             key,
                             PageMeta {
                                 residency: Residency::Cached { state: PageState::Modified, dirty: true },
@@ -867,7 +886,7 @@ impl CacheCluster {
                             e.owner = Some(target);
                             (e.version, meta.retention)
                         };
-                        self.blades[target].pages.insert(
+                        self.blades[target].put(
                             key,
                             PageMeta {
                                 residency: Residency::Cached { state: PageState::Modified, dirty: true },
@@ -879,17 +898,17 @@ impl CacheCluster {
                         self.trace.instant("cache", "drain_move", target as u32, key.page, blade as u64);
                         report.moved.push(key);
                     }
-                    self.blades[blade].pages.remove(&key);
+                    self.blades[blade].take(&key);
                     self.blades[blade].lru.remove(&key);
                 }
                 Residency::Cached { dirty: false, .. } => {
-                    self.blades[blade].pages.remove(&key);
+                    self.blades[blade].take(&key);
                     self.blades[blade].lru.remove(&key);
                     self.detach_holder(key, blade);
                     report.clean_dropped += 1;
                 }
                 Residency::Replica => {
-                    self.blades[blade].pages.remove(&key);
+                    self.blades[blade].take(&key);
                     self.blades[blade].lru.remove(&key);
                     self.directory.entry(key).replicas.retain(|&r| r != blade);
                     // Re-place elsewhere when possible; otherwise the owner
@@ -952,7 +971,7 @@ impl CacheCluster {
             {
                 continue;
             }
-            self.blades[target].pages.insert(
+            self.blades[target].put(
                 key,
                 PageMeta { residency: Residency::Replica, retention, version },
             );
@@ -970,8 +989,7 @@ impl CacheCluster {
     /// Cluster health from surviving replica margins — the degraded-mode
     /// governor's input (severity-ordered; see [`Health`]).
     pub fn health(&self) -> Health {
-        let accepting = self.blades.iter().filter(|b| b.accepting()).count();
-        if accepting < 2 {
+        if self.read_only() {
             return Health::ReadOnly;
         }
         let mut degraded = self
@@ -995,6 +1013,14 @@ impl CacheCluster {
         }
     }
 
+    /// [`Health::ReadOnly`]'s predicate: fewer than two blades accept
+    /// data, so no write can be replica-protected. O(blades), and the one
+    /// rule both [`CacheCluster::health`] and
+    /// [`CacheCluster::admit_write`] apply.
+    fn read_only(&self) -> bool {
+        self.blades.iter().filter(|b| b.accepting()).count() < 2
+    }
+
     /// The degraded-mode governor's write-refusal rule: at
     /// [`Health::ReadOnly`] a write of `key` through `blade` is refused with
     /// an explicit error and a `("heal", "write_refused")` audit event —
@@ -1002,7 +1028,7 @@ impl CacheCluster {
     /// silently lose. The governed core write path and
     /// [`CacheCluster::governed_write`] both run this one rule.
     pub fn admit_write(&mut self, blade: usize, key: PageKey) -> Result<(), CacheError> {
-        if self.health() == Health::ReadOnly {
+        if self.read_only() {
             self.trace.instant("heal", "write_refused", blade as u32, key.page, key.volume as u64);
             return Err(CacheError::ReadOnly);
         }

@@ -35,6 +35,10 @@ pub enum Invariant {
     /// A failed blade holds nothing, and the directory never points at a
     /// down blade.
     DownBladeConsistency,
+    /// A blade's maintained un-destaged count equals its dirty owner
+    /// copies plus pinned replicas: the QoS pressure sample
+    /// ([`CacheCluster::dirty_ratio`]) reads the count, not the pages.
+    UndestagedCount,
     /// An acknowledged (dirty, replicated-as-requested) write was lost —
     /// the owner and every replica failed before destage — and nobody has
     /// acknowledged the loss. Unlike the other rules this one reports an
@@ -54,6 +58,7 @@ impl fmt::Display for Invariant {
             Invariant::LruAgreement => "lru-agreement",
             Invariant::Capacity => "capacity",
             Invariant::DownBladeConsistency => "down-blade-consistency",
+            Invariant::UndestagedCount => "undestaged-count",
             Invariant::DataLoss => "data-loss",
         };
         f.write_str(name)
@@ -277,7 +282,8 @@ fn audit_residency(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     }
 }
 
-/// Per-blade structural rules: LRU bookkeeping, capacity, down-blade state.
+/// Per-blade structural rules: LRU bookkeeping, capacity, down-blade
+/// state, the un-destaged count.
 fn audit_blades(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     for (b, slot) in cluster.blades.iter().enumerate() {
         if slot.lru.len() != slot.pages.len() {
@@ -309,6 +315,14 @@ fn audit_blades(cluster: &CacheCluster, out: &mut Vec<Violation>) {
                 Invariant::DownBladeConsistency,
                 b,
                 format!("down blade still holds {} pages", slot.pages.len()),
+            ));
+        }
+        let undestaged = slot.pages.values().filter(|m| m.undestaged()).count();
+        if slot.undestaged != undestaged {
+            out.push(Violation::blade(
+                Invariant::UndestagedCount,
+                b,
+                format!("counts {} un-destaged pages but holds {undestaged}", slot.undestaged),
             ));
         }
     }
@@ -353,6 +367,23 @@ mod tests {
         c.blades[replica].pages.get_mut(&key(5)).unwrap().version = 0;
         let violations = audit(&c);
         assert!(violations.iter().any(|v| v.invariant == Invariant::ReplicaIntegrity));
+    }
+
+    #[test]
+    fn drifted_undestaged_count_is_reported() {
+        let mut c = CacheCluster::new(4, 16);
+        let w = c.write(0, key(5), 2, Retention::Normal).unwrap();
+        let replica = w.replicas[0];
+        c.blades[replica].undestaged += 1;
+        let violations = audit(&c);
+        assert_eq!(
+            violations,
+            vec![Violation::blade(
+                Invariant::UndestagedCount,
+                replica,
+                "counts 2 un-destaged pages but holds 1".into(),
+            )]
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! sequences, and dirty data survives any N−1 blade failures.
 
 use proptest::prelude::*;
-use ys_cache::{CacheCluster, PageKey, ReadOutcome, Retention};
+use ys_cache::{CacheCluster, Health, PageKey, ReadOutcome, Retention};
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -11,6 +11,12 @@ enum Op {
     Destage { page: u8 },
     Fail { blade: u8 },
     Repair { blade: u8 },
+    Drain { blade: u8 },
+    Revive { blade: u8 },
+    FinishRejoin { blade: u8 },
+    AddReplica { page: u8 },
+    Invalidate { page: u8 },
+    GovernedWrite { blade: u8, page: u8, n_way: u8 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -20,14 +26,37 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(|page| Op::Destage { page }),
         any::<u8>().prop_map(|blade| Op::Fail { blade }),
         any::<u8>().prop_map(|blade| Op::Repair { blade }),
+        any::<u8>().prop_map(|blade| Op::Drain { blade }),
+        any::<u8>().prop_map(|blade| Op::Revive { blade }),
+        any::<u8>().prop_map(|blade| Op::FinishRejoin { blade }),
+        any::<u8>().prop_map(|page| Op::AddReplica { page }),
+        any::<u8>().prop_map(|page| Op::Invalidate { page }),
+        (any::<u8>(), any::<u8>(), 1u8..4).prop_map(|(blade, page, n_way)| Op::GovernedWrite { blade, page, n_way }),
     ]
+}
+
+/// `dirty_ratio` recomputed from the public page view: dirty owner copies
+/// plus pinned replicas on serving blades, over the pooled capacity.
+fn reference_dirty_ratio(c: &CacheCluster) -> f64 {
+    let capacity = c.pooled_capacity();
+    if capacity == 0 {
+        return 0.0;
+    }
+    let undestaged: usize = (0..c.blade_count())
+        .filter(|&b| c.blade_up(b))
+        .map(|b| c.resident_pages_iter(b).filter(|p| p.dirty || p.replica).count())
+        .sum();
+    undestaged as f64 / capacity as f64
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Invariants hold after every operation in any sequence, including
-    /// failures and repairs.
+    /// failures, repairs, drains, rejoins, heal placements, invalidations
+    /// and governed writes. After each operation the maintained dirty
+    /// ratio equals a scan of the resident pages, and the governor refuses
+    /// a write exactly when the cluster is read-only.
     #[test]
     fn invariants_hold_under_arbitrary_ops(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         let blades = 5usize;
@@ -62,7 +91,35 @@ proptest! {
                 Op::Repair { blade } => {
                     c.repair_blade(blade as usize % blades);
                 }
+                Op::Drain { blade } => {
+                    let _ = c.drain_blade(blade as usize % blades);
+                }
+                Op::Revive { blade } => {
+                    let _ = c.revive_blade(blade as usize % blades);
+                }
+                Op::FinishRejoin { blade } => {
+                    c.finish_rejoin(blade as usize % blades);
+                }
+                Op::AddReplica { page } => {
+                    let _ = c.add_replica(PageKey::new(0, (page % 32) as u64));
+                }
+                Op::Invalidate { page } => {
+                    c.invalidate_page(PageKey::new(0, (page % 32) as u64));
+                }
+                Op::GovernedWrite { blade, page, n_way } => {
+                    let b = blade as usize % blades;
+                    let key = PageKey::new(0, (page % 32) as u64);
+                    let _ = c.governed_write(b, key, n_way as usize, Retention::Normal);
+                }
             }
+            prop_assert_eq!(c.dirty_ratio(), reference_dirty_ratio(&c), "dirty ratio after {:?}", op);
+            let read_only = c.health() == Health::ReadOnly;
+            prop_assert_eq!(
+                c.admit_write(0, PageKey::new(0, 0)).is_err(),
+                read_only,
+                "governor disagrees with health after {:?}",
+                op
+            );
             // The structured audit names every broken rule at once; report
             // the full list so a failure pinpoints the invariant by name.
             let violations = c.audit_invariants();

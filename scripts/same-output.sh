@@ -8,10 +8,14 @@
 # Surfaces, in order: ys-report and ys-report --metrics (without the
 # wall-clock "(suite completed in ...)" line), simulate on each
 # scenarios/*.json and on `{}`, ys-chaos --seed 4 --steps 64,
-# ys-scrub --seed 4 --errors 64 and ys-heal --seed 4. Each surface is its
-# stdout plus its exit status. Both builds read the working tree's scenario
-# files. Exits 0 when every surface is byte-identical, 1 naming the first
-# surface that differs, 2 on bad usage or a failed build.
+# ys-scrub --seed 4 --errors 64, ys-heal --seed 4, and perfbench on each of
+# its four workloads (--seed 1 --seconds 1 --trace 0) cut to its
+# `fingerprint` line and its `sim.*` lines (host timings dropped). Each
+# surface is its stdout plus its exit status. Both builds read the working
+# tree's scenario files; perfbench runs from the temporary directory, so
+# nothing it writes lands in the repo. Exits 0 when every surface is
+# byte-identical, 1 naming the first surface that differs, 2 on bad usage
+# or a failed build.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -36,12 +40,14 @@ trap 'exit 2' INT TERM
 
 echo "==> building $1 ($rev) in a temporary worktree"
 git worktree add --quiet --detach "$tmp/rev" "$rev"
-if ! (cd "$tmp/rev" && cargo build -q --release -p ys-bench -p ys-sweep --bins --target-dir "$tmp/target"); then
+if ! (cd "$tmp/rev" && cargo build -q --release -p ys-bench -p ys-sweep --bins --target-dir "$tmp/target" \
+    && cargo build -q --release --offline --manifest-path perfbench/Cargo.toml --target-dir "$tmp/target"); then
     echo "same-output: building $1 failed" >&2
     exit 2
 fi
 echo "==> building the working tree"
-if ! cargo build -q --release -p ys-bench -p ys-sweep --bins; then
+if ! (cargo build -q --release -p ys-bench -p ys-sweep --bins \
+    && cargo build -q --release --offline --manifest-path perfbench/Cargo.toml --target-dir "$root/target"); then
     echo "same-output: building the working tree failed" >&2
     exit 2
 fi
@@ -59,10 +65,11 @@ capture() {
     echo "$name" >> "$out/.surfaces"
 }
 
-# run_surfaces BIN_DIR OUT_DIR
+# run_surfaces BIN_DIR PERFBENCH OUT_DIR
 run_surfaces() {
     bin=$1
-    out=$2
+    perfbench=$2
+    out=$3
     mkdir -p "$out"
     capture ys-report "$bin/ys-report"
     capture ys-report--metrics "$bin/ys-report" --metrics
@@ -73,11 +80,18 @@ run_surfaces() {
     capture ys-chaos "$bin/ys-chaos" --seed 4 --steps 64
     capture ys-scrub "$bin/ys-scrub" --seed 4 --errors 64
     capture ys-heal "$bin/ys-heal" --seed 4
+    for w in cache-hot disk-mix geo-stream repair-under-load; do
+        (cd "$tmp" && capture "perfbench-$w" "$perfbench" --workload "$w" --seed 1 --seconds 1 --trace 0)
+        # Keep the fingerprint, the simulated metrics and the exit status:
+        # host timings differ from run to run.
+        grep -e '^fingerprint ' -e '^sim\.' -e '^exit ' "$out/perfbench-$w" > "$out/perfbench-$w.sim" || true
+        mv "$out/perfbench-$w.sim" "$out/perfbench-$w"
+    done
 }
 
 echo "==> running both builds"
-run_surfaces "$tmp/target/release" "$tmp/out-rev"
-run_surfaces "$root/target/release" "$tmp/out-tree"
+run_surfaces "$tmp/target/release" "$tmp/target/release/perfbench" "$tmp/out-rev"
+run_surfaces "$root/target/release" "$root/target/release/perfbench" "$tmp/out-tree"
 
 count=0
 while read -r name; do
