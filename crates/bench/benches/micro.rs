@@ -1,7 +1,7 @@
 //! Micro-benchmarks for the hot kernels: GF(2⁸) parity math, the cipher,
 //! the LRU, the extent map, the coherence protocol, one cached
-//! `BladeCluster` read, and one QoS-tenant write under the health governor
-//! over a warm cache. These are the per-operation costs the whole
+//! `BladeCluster` read, one QoS-tenant write under the health governor
+//! over a warm cache, and one 1 MiB write plus cold 1 MiB read. These are the per-operation costs the whole
 //! simulator's wall time rests on.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -47,15 +47,15 @@ fn bench_lru(c: &mut Criterion) {
     use ys_cache::{LruList, Retention};
     c.bench_function("lru_insert_touch_evict", |b| {
         b.iter(|| {
-            let mut l: LruList<u64> = LruList::new();
+            let mut l: LruList<u64, ()> = LruList::new();
             for k in 0..1000u64 {
-                l.insert(k, Retention::Normal);
+                l.insert(k, (), Retention::Normal);
             }
             for k in (0..1000u64).step_by(3) {
                 l.touch(&k);
             }
             let mut evicted = 0;
-            while l.evict_where(|_| false).is_some() {
+            while l.evict_where(|_, _| false).is_some() {
                 evicted += 1;
             }
             black_box(evicted)
@@ -147,6 +147,39 @@ fn bench_full_cluster_op(c: &mut Criterion) {
             t = w.done;
             p = (p + 1) % PAGES;
             black_box(w.latency)
+        })
+    });
+    // geo-stream's per-site operation as a host-cost probe: one 1 MiB write
+    // (16 pages, 2-way) and one cold 1 MiB sequential read on a full
+    // 4-blade cache, RAID1, hardware crypt at rest and in transit, 8-page
+    // readahead. Reads cycle over twice the pooled cache of data written
+    // in setup and writes over another such span, so every read pages in
+    // from disk and every page installed evicts one.
+    c.bench_function("cluster_stream_1mib", |b| {
+        use ys_core::EncryptionConfig;
+        use ys_raid::RaidLevel;
+        const MIB: u64 = 1 << 20;
+        let cfg = ClusterConfig::default()
+            .with_blades(4)
+            .with_disks(16)
+            .with_raid(RaidLevel::Raid1 { copies: 2 })
+            .with_encryption(EncryptionConfig::full_hw())
+            .with_prefetch(8);
+        let slots = 2 * (cfg.blades * cfg.cache_pages_per_blade) as u64 * cfg.page_bytes / MIB;
+        let mut cl = BladeCluster::new(cfg);
+        let vol = cl.create_volume("stream", 0, 2 * slots * MIB).unwrap();
+        let mut t = SimTime::ZERO;
+        for slot in 0..slots {
+            t = cl.write(t, 0, vol, slot * MIB, MIB, 2, Retention::Normal).unwrap().done;
+        }
+        t = t.max(cl.drain());
+        let mut i = 0;
+        b.iter(|| {
+            let w = cl.write(t, 0, vol, (slots + i % slots) * MIB, MIB, 2, Retention::Normal).unwrap();
+            let r = cl.read(w.done, 0, vol, (i % slots) * MIB, MIB).unwrap();
+            t = r.done;
+            i += 1;
+            black_box((w.latency, r.latency))
         })
     });
 }

@@ -14,7 +14,6 @@
 
 use crate::directory::{DirEntry, Directory, PageKey, PageState};
 use crate::lru::{LruList, Retention};
-use std::collections::BTreeMap;
 use ys_simcore::SpanRecorder;
 
 /// Lifecycle state of one controller blade (planned drains plus §6.1's
@@ -84,7 +83,7 @@ pub(crate) enum Residency {
     Replica,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct PageMeta {
     pub(crate) residency: Residency,
     pub(crate) retention: Retention,
@@ -94,13 +93,13 @@ pub(crate) struct PageMeta {
 #[derive(Clone, Debug)]
 pub(crate) struct BladeSlot {
     pub(crate) capacity_pages: usize,
-    pub(crate) lru: LruList<PageKey>,
-    /// Ordered so that blade-failure sweeps (and the FailureReport they
-    /// build) visit pages in key order, independent of any hasher seed.
-    pub(crate) pages: BTreeMap<PageKey, PageMeta>,
+    /// The blade's page table: each resident page's metadata, in one
+    /// hashed index that also links the pages in recency order. Sweeps
+    /// that publish an order (failure, drain, dirty lists) sort its keys.
+    pub(crate) lru: LruList<PageKey, PageMeta>,
     /// Un-destaged pages held: dirty owner copies plus pinned replicas.
     /// Kept by [`BladeSlot::put`] and [`BladeSlot::take`] so the QoS
-    /// pressure sample reads it instead of scanning `pages`.
+    /// pressure sample reads it instead of scanning the pages.
     pub(crate) undestaged: usize,
     pub(crate) state: BladeState,
 }
@@ -111,27 +110,55 @@ impl PageMeta {
     pub(crate) fn undestaged(&self) -> bool {
         matches!(self.residency, Residency::Cached { dirty: true, .. } | Residency::Replica)
     }
+
+    /// The recency band the copy lives in: a replica is pinned until
+    /// destage, a coherent copy sits in its retention class's band.
+    fn band(&self) -> Retention {
+        match self.residency {
+            Residency::Replica => Retention::Pinned,
+            Residency::Cached { .. } => self.retention,
+        }
+    }
 }
 
 impl BladeSlot {
-    /// Insert or replace `key`'s copy, returning the copy it replaced. The
-    /// one way a page enters `pages`.
+    /// Insert or replace `key`'s copy at the front of its recency band,
+    /// returning the copy it replaced. The one way a page enters the
+    /// table.
     fn put(&mut self, key: PageKey, meta: PageMeta) -> Option<PageMeta> {
         self.undestaged += usize::from(meta.undestaged());
-        let old = self.pages.insert(key, meta);
+        let old = self.lru.insert(key, meta, meta.band());
         self.undestaged -= usize::from(old.as_ref().is_some_and(PageMeta::undestaged));
         old
     }
 
-    /// Remove `key`'s copy, returning it. The one way a page leaves `pages`.
+    /// Remove `key`'s copy, returning it. The one way a page leaves the
+    /// table (eviction picks its victim, then takes it).
     fn take(&mut self, key: &PageKey) -> Option<PageMeta> {
-        let old = self.pages.remove(key);
+        let old = self.lru.remove(key);
         self.undestaged -= usize::from(old.as_ref().is_some_and(PageMeta::undestaged));
         old
+    }
+
+    /// Every held page's key, ascending.
+    fn sorted_keys(&self) -> Vec<PageKey> {
+        let mut keys: Vec<PageKey> = self.lru.iter().map(|(k, _)| *k).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Drop every page at once (the blade failed), returning them in key
+    /// order.
+    fn clear(&mut self) -> Vec<(PageKey, PageMeta)> {
+        let mut held: Vec<(PageKey, PageMeta)> = self.lru.iter().map(|(k, m)| (*k, *m)).collect();
+        held.sort_unstable_by_key(|&(k, _)| k);
+        self.lru = LruList::new();
+        self.undestaged = 0;
+        held
     }
 
     fn occupancy(&self) -> usize {
-        self.pages.len()
+        self.lru.len()
     }
 
     /// Can serve the copies it holds (everything but `Down`).
@@ -332,7 +359,6 @@ impl CacheCluster {
                 .map(|_| BladeSlot {
                     capacity_pages: capacity_pages_per_blade,
                     lru: LruList::new(),
-                    pages: BTreeMap::new(),
                     undestaged: 0,
                     state: BladeState::Up,
                 })
@@ -401,43 +427,35 @@ impl CacheCluster {
 
     /// Make room for one page on `blade`. Dirty and replica pages are
     /// veto'd — they must survive until destage.
-    fn make_room(&mut self, blade: usize) -> Result<Vec<PageKey>, CacheError> {
-        let mut evicted = Vec::new();
+    fn make_room(&mut self, blade: usize) -> Result<(), CacheError> {
         loop {
             let slot = &mut self.blades[blade];
             if slot.occupancy() < slot.capacity_pages {
                 break;
             }
-            let victim = {
-                let pages = &slot.pages;
-                slot.lru.evict_where(|k| pages.get(k).is_none_or(PageMeta::undestaged))
-            };
-            match victim {
+            match slot.lru.victim(|_, m| m.undestaged()).copied() {
                 Some(key) => {
                     self.blades[blade].take(&key);
                     self.detach_holder(key, blade);
                     self.stats.evictions += 1;
                     self.stats.per_blade[blade].evictions += 1;
                     self.trace.instant("cache", "evict", blade as u32, key.page, key.volume as u64);
-                    evicted.push(key);
                 }
                 None => return Err(CacheError::EvictionStall(blade)),
             }
         }
-        Ok(evicted)
+        Ok(())
     }
 
     /// Remove `blade` from a page's directory holder sets; drop the entry
     /// when nobody holds the page anymore.
     fn detach_holder(&mut self, key: PageKey, blade: usize) {
-        let e = self.directory.entry(key);
-        e.sharers.retain(|&s| s != blade);
-        if e.owner == Some(blade) {
-            e.owner = None;
-        }
-        if !e.is_cached_anywhere() && e.replicas.is_empty() {
-            self.directory.remove(&key);
-        }
+        self.directory.update(key, |e| {
+            e.sharers.retain(|&s| s != blade);
+            if e.owner == Some(blade) {
+                e.owner = None;
+            }
+        });
     }
 
     /// Probe for a read at `blade`. Does not fill on miss — the caller
@@ -448,7 +466,7 @@ impl CacheCluster {
         if self.lost.contains_key(&key) {
             return Err(CacheError::DataLost(key));
         }
-        if let Some(meta) = self.blades[blade].pages.get(&key) {
+        if let Some(meta) = self.blades[blade].lru.get(&key) {
             match meta.residency {
                 Residency::Cached { .. } => {
                     self.blades[blade].lru.touch(&key);
@@ -466,13 +484,10 @@ impl CacheCluster {
             }
         }
         // Find a remote holder.
-        let holder = {
-            let up: Vec<bool> = self.blades.iter().map(|b| b.serving()).collect();
-            match self.directory.get(&key) {
-                Some(e) => e.holders().into_iter().find(|&h| up[h] && h != blade),
-                None => None,
-            }
-        };
+        let holder = self
+            .directory
+            .get(&key)
+            .and_then(|e| e.holders().find(|&h| self.blades[h].serving() && h != blade));
         match holder {
             Some(from) => {
                 self.install_shared(blade, key, Retention::Normal)?;
@@ -492,7 +507,7 @@ impl CacheCluster {
 
     /// Install a clean Shared copy at `blade` (after a disk fetch or a
     /// remote supply).
-    pub fn fill(&mut self, blade: usize, key: PageKey, retention: Retention) -> Result<Vec<PageKey>, CacheError> {
+    pub fn fill(&mut self, blade: usize, key: PageKey, retention: Retention) -> Result<(), CacheError> {
         self.ensure_up(blade)?;
         if self.lost.contains_key(&key) {
             // A disk fetch can only supply the stale pre-loss version.
@@ -501,30 +516,29 @@ impl CacheCluster {
         self.install_shared(blade, key, retention)
     }
 
-    fn install_shared(&mut self, blade: usize, key: PageKey, retention: Retention) -> Result<Vec<PageKey>, CacheError> {
-        if let Some(meta) = self.blades[blade].pages.get(&key) {
+    fn install_shared(&mut self, blade: usize, key: PageKey, retention: Retention) -> Result<(), CacheError> {
+        if let Some(meta) = self.blades[blade].lru.get(&key) {
             match meta.residency {
                 Residency::Cached { .. } => {
                     self.blades[blade].lru.touch(&key);
-                    return Ok(vec![]);
+                    return Ok(());
                 }
                 // Never displace a pinned replica: it already holds the data
                 // and is protecting an un-destaged write.
-                Residency::Replica => return Ok(vec![]),
+                Residency::Replica => return Ok(()),
             }
         }
-        let evicted = self.make_room(blade)?;
+        self.make_room(blade)?;
         let version = self.directory.entry(key).version;
         self.blades[blade].put(
             key,
             PageMeta { residency: Residency::Cached { state: PageState::Shared, dirty: false }, retention, version },
         );
-        self.blades[blade].lru.insert(key, retention);
         let e = self.directory.entry(key);
         if e.owner != Some(blade) && !e.sharers.contains(&blade) {
             e.sharers.push(blade);
         }
-        Ok(evicted)
+        Ok(())
     }
 
     /// Perform a write at `blade` with `n_way` total dirty copies
@@ -545,30 +559,30 @@ impl CacheCluster {
         // Reserve local space FIRST: if the cache is saturated with dirty
         // data we must fail before mutating any remote state, or the
         // directory would point at copies we already dropped.
-        if !self.blades[blade].pages.contains_key(&key) {
+        if !self.blades[blade].lru.contains(&key) {
             self.make_room(blade)?;
         }
 
         // Invalidate every other holder.
         let holders: Vec<usize> = match self.directory.get(&key) {
-            Some(e) => e.holders().into_iter().filter(|&h| h != blade).collect(),
+            Some(e) => e.holders().filter(|&h| h != blade).collect(),
             None => vec![],
         };
-        for h in &holders {
-            self.blades[*h].take(&key);
-            self.blades[*h].lru.remove(&key);
+        for &h in &holders {
+            self.blades[h].take(&key);
             self.stats.invalidations += 1;
-            self.stats.per_blade[*h].invalidations += 1;
-            self.trace.instant("cache", "invalidate", *h as u32, key.page, blade as u64);
+            self.stats.per_blade[h].invalidations += 1;
+            self.trace.instant("cache", "invalidate", h as u32, key.page, blade as u64);
         }
-        // Drop any stale replicas from a previous write generation.
-        let old_replicas: Vec<usize> = self.directory.entry(key).replicas.clone();
-        for r in old_replicas {
+        // Drop any stale replicas from a previous write generation; the
+        // emptied list is reused for this generation's replicas.
+        let mut replicas = std::mem::take(&mut self.directory.entry(key).replicas);
+        for &r in &replicas {
             if r != blade {
                 self.blades[r].take(&key);
-                self.blades[r].lru.remove(&key);
             }
         }
+        replicas.clear();
 
         // Install/refresh the exclusive copy locally (space reserved above).
         let version = {
@@ -576,7 +590,6 @@ impl CacheCluster {
             e.version += 1;
             e.sharers.clear();
             e.owner = Some(blade);
-            e.replicas.clear();
             e.protect = n_way;
             e.version
         };
@@ -584,22 +597,23 @@ impl CacheCluster {
             key,
             PageMeta { residency: Residency::Cached { state: PageState::Modified, dirty: true }, retention, version },
         );
-        self.blades[blade].lru.insert(key, retention);
         self.trace.instant("cache", "modify", blade as u32, key.page, version);
 
         // Place N−1 pinned replicas on peer blades, chosen deterministically
-        // by page hash so replica load spreads.
-        let mut replicas = Vec::new();
+        // by page hash so replica load spreads: the first N−1 accepting
+        // peers in home order are tried, and a saturated one is skipped.
         if n_way > 1 {
-            let candidates: Vec<usize> = {
-                let n = self.blades.len();
-                let start = key.home(n);
-                (0..n)
-                    .map(|i| (start + i) % n)
-                    .filter(|&b| b != blade && self.blades[b].accepting())
-                    .collect()
-            };
-            for target in candidates.into_iter().take(n_way - 1) {
+            let n = self.blades.len();
+            let start = key.home(n);
+            let mut tried = 0;
+            for target in (0..n).map(|i| (start + i) % n) {
+                if target == blade || !self.blades[target].accepting() {
+                    continue;
+                }
+                if tried == n_way - 1 {
+                    break;
+                }
+                tried += 1;
                 if self.blades[target].occupancy() >= self.blades[target].capacity_pages
                     && self.make_room(target).is_err()
                 {
@@ -610,7 +624,6 @@ impl CacheCluster {
                     key,
                     PageMeta { residency: Residency::Replica, retention, version },
                 );
-                self.blades[target].lru.insert(key, Retention::Pinned);
                 replicas.push(target);
                 self.stats.replica_placements += 1;
                 self.stats.per_blade[target].replicas_hosted += 1;
@@ -623,30 +636,23 @@ impl CacheCluster {
 
     /// Write-back to disk finished: unpin replicas, clean the owner copy.
     pub fn destage(&mut self, key: PageKey) -> Result<(), CacheError> {
-        let (owner, replicas) = match self.directory.get(&key) {
-            Some(e) => (e.owner, e.replicas.clone()),
+        let owner = match self.directory.get(&key) {
+            Some(e) => e.owner.ok_or(CacheError::BadState)?,
             None => return Err(CacheError::BadState),
         };
-        let owner = owner.ok_or(CacheError::BadState)?;
-        for r in replicas {
-            self.blades[r].take(&key);
-            self.blades[r].lru.remove(&key);
-        }
-        let slot = &mut self.blades[owner];
-        if let Some(meta) = slot.pages.get_mut(&key) {
-            // Cleaned in place rather than through `put`, so the owner's
-            // un-destaged count drops here.
-            slot.undestaged -= usize::from(meta.undestaged());
-            meta.residency = Residency::Cached { state: PageState::Shared, dirty: false };
-            let retention = meta.retention;
-            slot.lru.insert(key, retention);
-        }
         let e = self.directory.entry(key);
-        e.replicas.clear();
+        let replicas = std::mem::take(&mut e.replicas);
         e.owner = None;
         e.protect = 0;
         if !e.sharers.contains(&owner) {
             e.sharers.push(owner);
+        }
+        for r in replicas {
+            self.blades[r].take(&key);
+        }
+        let slot = &mut self.blades[owner];
+        if let Some(&meta) = slot.lru.get(&key) {
+            slot.put(key, PageMeta { residency: Residency::Cached { state: PageState::Shared, dirty: false }, ..meta });
         }
         self.stats.destages += 1;
         self.trace.instant("cache", "destage", owner as u32, key.page, key.volume as u64);
@@ -659,17 +665,11 @@ impl CacheCluster {
         // Rollback administratively replaces the data under the page; a
         // pending loss tombstone is moot.
         self.lost.remove(&key);
-        let holders: Vec<usize> = match self.directory.get(&key) {
-            Some(e) => {
-                let mut h = e.holders();
-                h.extend(&e.replicas);
-                h
-            }
-            None => return,
+        let Some(e) = self.directory.get(&key) else {
+            return;
         };
-        for b in holders {
+        for b in e.holders().chain(e.replicas.iter().copied()) {
             self.blades[b].take(&key);
-            self.blades[b].lru.remove(&key);
         }
         self.directory.remove(&key);
     }
@@ -692,14 +692,17 @@ impl CacheCluster {
         undestaged as f64 / capacity as f64
     }
 
-    /// Pages currently dirty at `blade` (owner copies awaiting destage).
+    /// Pages currently dirty at `blade` (owner copies awaiting destage),
+    /// ascending.
     pub fn dirty_pages(&self, blade: usize) -> Vec<PageKey> {
-        self.blades[blade]
-            .pages
+        let mut dirty: Vec<PageKey> = self.blades[blade]
+            .lru
             .iter()
             .filter(|(_, m)| matches!(m.residency, Residency::Cached { dirty: true, .. }))
             .map(|(k, _)| *k)
-            .collect()
+            .collect();
+        dirty.sort_unstable();
+        dirty
     }
 
     /// Fail a blade: every copy it held vanishes. Dirty pages survive iff a
@@ -710,12 +713,9 @@ impl CacheCluster {
             return report;
         }
         self.blades[blade].state = BladeState::Down;
-        let held: Vec<(PageKey, PageMeta)> =
-            std::mem::take(&mut self.blades[blade].pages).into_iter().collect();
-        self.blades[blade].undestaged = 0;
-        self.blades[blade].lru = LruList::new();
-
-        for (key, meta) in held {
+        // Key order: the report lists, and the promotions' recency
+        // placement, must not depend on the table's hash layout.
+        for (key, meta) in self.blades[blade].clear() {
             let e: &mut DirEntry = self.directory.entry(key);
             e.sharers.retain(|&s| s != blade);
             e.replicas.retain(|&r| r != blade);
@@ -737,7 +737,6 @@ impl CacheCluster {
                                 version,
                             },
                         );
-                        self.blades[survivor].lru.insert(key, retention);
                         self.trace.instant("cache", "promote", survivor as u32, key.page, blade as u64);
                         report.promoted.push(key);
                     } else {
@@ -816,10 +815,9 @@ impl CacheCluster {
         }
         self.blades[blade].state = BladeState::Draining;
         let mut report = DrainReport::default();
-        let keys: Vec<PageKey> = self.blades[blade].pages.keys().copied().collect();
-        for key in keys {
-            let meta = match self.blades[blade].pages.get(&key) {
-                Some(m) => m.clone(),
+        for key in self.blades[blade].sorted_keys() {
+            let meta = match self.blades[blade].lru.get(&key) {
+                Some(&m) => m,
                 None => continue,
             };
             match meta.residency {
@@ -843,7 +841,6 @@ impl CacheCluster {
                                 version,
                             },
                         );
-                        self.blades[survivor].lru.insert(key, retention);
                         self.trace.instant("cache", "drain_promote", survivor as u32, key.page, blade as u64);
                         report.promoted.push(key);
                     } else {
@@ -859,7 +856,7 @@ impl CacheCluster {
                             // An existing clean sharer copy upgrades in place
                             // (a replica is impossible here: replicas imply
                             // the promote path above).
-                            if self.blades[target].pages.contains_key(&key) {
+                            if self.blades[target].lru.contains(&key) {
                                 new_owner = Some(target);
                                 break;
                             }
@@ -894,22 +891,18 @@ impl CacheCluster {
                                 version,
                             },
                         );
-                        self.blades[target].lru.insert(key, retention);
                         self.trace.instant("cache", "drain_move", target as u32, key.page, blade as u64);
                         report.moved.push(key);
                     }
                     self.blades[blade].take(&key);
-                    self.blades[blade].lru.remove(&key);
                 }
                 Residency::Cached { dirty: false, .. } => {
                     self.blades[blade].take(&key);
-                    self.blades[blade].lru.remove(&key);
                     self.detach_holder(key, blade);
                     report.clean_dropped += 1;
                 }
                 Residency::Replica => {
                     self.blades[blade].take(&key);
-                    self.blades[blade].lru.remove(&key);
                     self.directory.entry(key).replicas.retain(|&r| r != blade);
                     // Re-place elsewhere when possible; otherwise the owner
                     // still holds the dirty data and the healer catches up.
@@ -920,7 +913,7 @@ impl CacheCluster {
                 }
             }
         }
-        debug_assert!(self.blades[blade].pages.is_empty());
+        debug_assert!(self.blades[blade].lru.is_empty());
         self.blades[blade].state = BladeState::Down;
         self.blades[blade].lru = LruList::new();
         report.completed = true;
@@ -931,11 +924,14 @@ impl CacheCluster {
     /// Dirty pages below their fault-tolerance target, with the deficit
     /// (missing replica count) — the healer's work queue. Sorted by key.
     pub fn under_target_pages(&self) -> Vec<(PageKey, usize)> {
-        self.directory
-            .iter()
+        let mut work: Vec<(PageKey, usize)> = self
+            .directory
+            .iter_unordered()
             .filter(|(_, e)| e.owner.is_some() && e.protect > 1 + e.replicas.len())
             .map(|(k, e)| (*k, e.protect - 1 - e.replicas.len()))
-            .collect()
+            .collect();
+        work.sort_unstable();
+        work
     }
 
     /// Re-establish one pinned dirty replica for `key` on an accepting peer
@@ -953,7 +949,7 @@ impl CacheCluster {
             None => return Err(CacheError::BadState),
         };
         let retention = self.blades[owner]
-            .pages
+            .lru
             .get(&key)
             .map(|m| m.retention)
             .unwrap_or(Retention::Normal);
@@ -962,7 +958,7 @@ impl CacheCluster {
         let candidates: Vec<usize> = (0..n)
             .map(|i| (start + i) % n)
             .filter(|&b| {
-                b != owner && self.blades[b].accepting() && !self.blades[b].pages.contains_key(&key)
+                b != owner && self.blades[b].accepting() && !self.blades[b].lru.contains(&key)
             })
             .collect();
         for target in candidates {
@@ -975,7 +971,6 @@ impl CacheCluster {
                 key,
                 PageMeta { residency: Residency::Replica, retention, version },
             );
-            self.blades[target].lru.insert(key, Retention::Pinned);
             self.directory.entry(key).replicas.push(target);
             self.stats.replica_placements += 1;
             self.stats.heal_placements += 1;
@@ -996,7 +991,9 @@ impl CacheCluster {
             .blades
             .iter()
             .any(|b| matches!(b.state, BladeState::Draining | BladeState::Rejoining));
-        for (_, e) in self.directory.iter() {
+        // Unsorted on purpose: the verdict is the worst case over all
+        // pages, which no visiting order can change.
+        for (_, e) in self.directory.iter_unordered() {
             if e.owner.is_some() && e.protect > 1 + e.replicas.len() {
                 if e.replicas.is_empty() && e.protect >= 2 {
                     // An acked protected write with zero surviving replicas:
@@ -1073,19 +1070,28 @@ impl CacheCluster {
         self.blades[blade].capacity_pages
     }
 
-    /// Read-only view of every page resident at `blade`, in key order: the
-    /// blade page table is ordered, so residency streams out without
-    /// materializing a `Vec`. External auditors (the `ys-check` model
-    /// checker) canonicalize cluster state once per explored transition
-    /// through this.
-    pub fn resident_pages_iter(&self, blade: usize) -> impl Iterator<Item = ResidentPage> + '_ {
-        self.blades[blade].pages.iter().map(|(key, m)| ResidentPage {
+    /// Read-only view of every page resident at `blade`, in key order.
+    /// Sorts a snapshot per call; a caller that walks residency once per
+    /// explored transition (the `ys-check` model checker) reuses a buffer
+    /// through [`CacheCluster::resident_pages_into`].
+    pub fn resident_pages_iter(&self, blade: usize) -> impl Iterator<Item = ResidentPage> {
+        let mut pages = Vec::new();
+        self.resident_pages_into(blade, &mut pages);
+        pages.into_iter()
+    }
+
+    /// Replace `out`'s contents with every page resident at `blade`, in
+    /// key order.
+    pub fn resident_pages_into(&self, blade: usize, out: &mut Vec<ResidentPage>) {
+        out.clear();
+        out.extend(self.blades[blade].lru.iter().map(|(key, m)| ResidentPage {
             key: *key,
             replica: matches!(m.residency, Residency::Replica),
             dirty: matches!(m.residency, Residency::Cached { dirty: true, .. }),
             retention: m.retention,
             version: m.version,
-        })
+        }));
+        out.sort_unstable_by_key(|p| p.key);
     }
 
     /// Recency order (most- to least-recent) of one retention band at
@@ -1449,6 +1455,48 @@ mod tests {
         c.fail_blade(0);
         assert!(c.under_target_pages().is_empty());
         c.check_invariants().unwrap();
+    }
+
+    /// The same page set, installed in opposite orders: every blade's hash
+    /// layout and recency order differ, yet failure and drain sweep pages in
+    /// key order, so their reports are identical and sorted.
+    #[test]
+    fn failure_and_drain_reports_ignore_insertion_order() {
+        let keys: Vec<PageKey> = [(2, 5), (0, 9), (1, 1), (0, 3), (2, 0), (1, 7), (0, 12), (3, 4), (1, 2)]
+            .iter()
+            .map(|&(v, p)| PageKey::new(v, p))
+            .collect();
+        let build = |order: &[PageKey]| {
+            let mut c = CacheCluster::new(4, 64);
+            for (i, &k) in order.iter().enumerate() {
+                // Unreplicated dirty, 2-way dirty and clean copies, chosen
+                // by key so both orders hold the same state per page.
+                match k.page % 3 {
+                    0 => drop(c.write(0, k, 1, Retention::Normal).unwrap()),
+                    1 => drop(c.write(0, k, 2, Retention::Normal).unwrap()),
+                    _ => c.fill(0, k, Retention::Normal).unwrap(),
+                }
+                // Interleave unrelated traffic on a peer to perturb layouts.
+                c.fill(1, PageKey::new(9, i as u64), Retention::Normal).unwrap();
+            }
+            c
+        };
+        let reversed: Vec<PageKey> = keys.iter().rev().copied().collect();
+        let sorted = |v: &[PageKey]| v.windows(2).all(|w| w[0] < w[1]);
+
+        let (mut a, mut b) = (build(&keys), build(&reversed));
+        let (fa, fb) = (a.fail_blade(0), b.fail_blade(0));
+        assert_eq!(fa, fb);
+        assert!(!fa.promoted.is_empty() && !fa.lost.is_empty());
+        assert!(sorted(&fa.promoted) && sorted(&fa.lost), "{fa:?}");
+
+        let (mut a, mut b) = (build(&keys), build(&reversed));
+        let (da, db) = (a.drain_blade(0).unwrap(), b.drain_blade(0).unwrap());
+        assert_eq!(da, db);
+        assert!(da.completed && !da.promoted.is_empty() && !da.moved.is_empty());
+        assert!(sorted(&da.promoted) && sorted(&da.moved), "{da:?}");
+        a.check_invariants().unwrap();
+        b.check_invariants().unwrap();
     }
 
     #[test]

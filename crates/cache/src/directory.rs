@@ -5,7 +5,9 @@
 //! home's directory entry records the set of sharers, the exclusive owner
 //! (if modified), the write version, and where dirty replicas live (§6.1).
 
-use std::collections::BTreeMap;
+use crate::fxhash::FxBuildHasher;
+use std::collections::hash_map::Entry; // lint: allow(unordered-iteration) — single-entry edits, no walk
+use std::collections::{hash_map, HashMap}; // lint: allow(unordered-iteration) — see `Directory::entries`
 
 /// Global cache-page key: (volume, page index within volume).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -59,12 +61,14 @@ impl DirEntry {
         self.owner.is_some() || !self.sharers.is_empty()
     }
 
-    pub fn holders(&self) -> Vec<usize> {
-        let mut h = self.sharers.clone();
-        if let Some(o) = self.owner {
-            h.push(o);
-        }
-        h
+    /// No blade holds a copy or a replica: the entry can go.
+    fn unused(&self) -> bool {
+        !self.is_cached_anywhere() && self.replicas.is_empty()
+    }
+
+    /// Blades holding a copy: sharers in stored order, then the owner.
+    pub fn holders(&self) -> impl Iterator<Item = usize> + '_ {
+        self.sharers.iter().copied().chain(self.owner)
     }
 }
 
@@ -73,16 +77,19 @@ impl DirEntry {
 #[derive(Clone, Debug)]
 pub struct Directory {
     blades: usize,
-    /// Ordered: [`Directory::iter`] feeds the ys-chaos recovery oracle and
-    /// destage scans, so its order must not depend on a hasher seed.
-    entries: BTreeMap<PageKey, DirEntry>,
+    /// Hashed for O(1) page lookups. Every ordered consumer goes through
+    /// [`Directory::iter`] or [`Directory::sorted_keys_into`], which sort
+    /// by key, so the map's layout never reaches an output; only
+    /// order-free folds use [`Directory::iter_unordered`].
+    entries: HashMap<PageKey, DirEntry, FxBuildHasher>, // lint: allow(unordered-iteration)
     shard_lookups: Vec<u64>,
 }
 
 impl Directory {
     pub fn new(blades: usize) -> Directory {
         assert!(blades > 0);
-        Directory { blades, entries: BTreeMap::new(), shard_lookups: vec![0; blades] }
+        // lint: allow(unordered-iteration) — walks go through the sorted views
+        Directory { blades, entries: HashMap::default(), shard_lookups: vec![0; blades] }
     }
 
     pub fn blades(&self) -> usize {
@@ -92,6 +99,27 @@ impl Directory {
     pub fn entry(&mut self, key: PageKey) -> &mut DirEntry {
         self.shard_lookups[key.home(self.blades)] += 1;
         self.entries.entry(key).or_default()
+    }
+
+    /// Edit `key`'s entry (one counted lookup, as [`Directory::entry`]) and
+    /// drop it when the edit leaves no copy or replica of the page.
+    pub fn update(&mut self, key: PageKey, edit: impl FnOnce(&mut DirEntry)) {
+        self.shard_lookups[key.home(self.blades)] += 1;
+        match self.entries.entry(key) {
+            Entry::Occupied(mut slot) => {
+                edit(slot.get_mut());
+                if slot.get().unused() {
+                    slot.remove();
+                }
+            }
+            Entry::Vacant(slot) => {
+                let mut e = DirEntry::default();
+                edit(&mut e);
+                if !e.unused() {
+                    slot.insert(e);
+                }
+            }
+        }
     }
 
     pub fn get(&self, key: &PageKey) -> Option<&DirEntry> {
@@ -117,7 +145,27 @@ impl Directory {
     }
 
     /// Iterate entries in page-key order (deterministic across runs).
+    /// Sorts a borrowed view per call; a hot caller that walks the
+    /// directory repeatedly reuses a buffer through
+    /// [`Directory::sorted_keys_into`] instead.
     pub fn iter(&self) -> impl Iterator<Item = (&PageKey, &DirEntry)> {
+        let mut view: Vec<(&PageKey, &DirEntry)> = self.entries.iter().collect();
+        view.sort_unstable_by_key(|&(k, _)| *k);
+        view.into_iter()
+    }
+
+    /// Replace `out`'s contents with every page key, ascending.
+    pub fn sorted_keys_into(&self, out: &mut Vec<PageKey>) {
+        out.clear();
+        out.extend(self.entries.keys().copied());
+        out.sort_unstable();
+    }
+
+    /// Entries in the hash map's own order, which no output may depend
+    /// on: only for folds whose result is order-free (a count, an any/all
+    /// verdict).
+    // lint: allow(unordered-iteration) — callers fold to an order-free verdict
+    pub(crate) fn iter_unordered(&self) -> hash_map::Iter<'_, PageKey, DirEntry> {
         self.entries.iter()
     }
 }
@@ -170,7 +218,7 @@ mod tests {
         assert!(!e.is_cached_anywhere());
         e.sharers = vec![0, 3];
         e.owner = Some(5);
-        let h = e.holders();
+        let h: Vec<usize> = e.holders().collect();
         assert!(h.contains(&0) && h.contains(&3) && h.contains(&5));
         assert!(e.is_cached_anywhere());
     }

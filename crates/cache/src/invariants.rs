@@ -28,8 +28,6 @@ pub enum Invariant {
     /// Every resident page is reflected in the directory with the matching
     /// role (dirty ⇒ owner, clean ⇒ sharer, replica ⇒ replica set).
     ResidencyBacklink,
-    /// A blade's recency list tracks exactly its resident pages.
-    LruAgreement,
     /// No blade holds more pages than its configured capacity.
     Capacity,
     /// A failed blade holds nothing, and the directory never points at a
@@ -55,7 +53,6 @@ impl fmt::Display for Invariant {
             Invariant::SharerCleanCopy => "sharer-clean-copy",
             Invariant::ReplicaIntegrity => "replica-integrity",
             Invariant::ResidencyBacklink => "residency-backlink",
-            Invariant::LruAgreement => "lru-agreement",
             Invariant::Capacity => "capacity",
             Invariant::DownBladeConsistency => "down-blade-consistency",
             Invariant::UndestagedCount => "undestaged-count",
@@ -124,12 +121,16 @@ fn audit_losses(cluster: &CacheCluster, out: &mut Vec<Violation>) {
 }
 
 /// Directory-side rules: each entry's holder sets against blade contents.
+/// Entries are walked in hash order and the findings then put in key
+/// order (a stable sort keeps each page's findings in rule order), so the
+/// report is the same on every replay and a clean audit sorts nothing.
 fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
-    for (key, e) in cluster.directory.iter() {
+    let mut found = Vec::new();
+    for (key, e) in cluster.directory.iter_unordered() {
         let key = *key;
         if let Some(o) = e.owner {
             if e.sharers.contains(&o) {
-                out.push(Violation::page(
+                found.push(Violation::page(
                     Invariant::HolderSetsDisjoint,
                     key,
                     o,
@@ -137,7 +138,7 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
                 ));
             }
             if e.replicas.contains(&o) {
-                out.push(Violation::page(
+                found.push(Violation::page(
                     Invariant::HolderSetsDisjoint,
                     key,
                     o,
@@ -147,7 +148,7 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
         }
         for &s in &e.sharers {
             if e.replicas.contains(&s) {
-                out.push(Violation::page(
+                found.push(Violation::page(
                     Invariant::HolderSetsDisjoint,
                     key,
                     s,
@@ -157,10 +158,10 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
         }
 
         if let Some(o) = e.owner {
-            match cluster.blades.get(o).and_then(|b| b.pages.get(&key)) {
+            match cluster.blades.get(o).and_then(|b| b.lru.get(&key)) {
                 Some(m) if matches!(m.residency, Residency::Cached { dirty: true, .. }) => {
                     if m.version != e.version {
-                        out.push(Violation::page(
+                        found.push(Violation::page(
                             Invariant::OwnerDirtyCopy,
                             key,
                             o,
@@ -168,13 +169,13 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
                         ));
                     }
                 }
-                Some(_) => out.push(Violation::page(
+                Some(_) => found.push(Violation::page(
                     Invariant::OwnerDirtyCopy,
                     key,
                     o,
                     "owner's resident copy is not dirty".into(),
                 )),
-                None => out.push(Violation::page(
+                None => found.push(Violation::page(
                     Invariant::OwnerDirtyCopy,
                     key,
                     o,
@@ -184,10 +185,10 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
         }
 
         for &s in &e.sharers {
-            match cluster.blades.get(s).and_then(|b| b.pages.get(&key)) {
+            match cluster.blades.get(s).and_then(|b| b.lru.get(&key)) {
                 Some(m) if matches!(m.residency, Residency::Cached { dirty: false, .. }) => {
                     if m.version != e.version {
-                        out.push(Violation::page(
+                        found.push(Violation::page(
                             Invariant::SharerCleanCopy,
                             key,
                             s,
@@ -195,13 +196,13 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
                         ));
                     }
                 }
-                Some(_) => out.push(Violation::page(
+                Some(_) => found.push(Violation::page(
                     Invariant::SharerCleanCopy,
                     key,
                     s,
                     "sharer's resident copy is not clean".into(),
                 )),
-                None => out.push(Violation::page(
+                None => found.push(Violation::page(
                     Invariant::SharerCleanCopy,
                     key,
                     s,
@@ -211,7 +212,7 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
         }
 
         if !e.replicas.is_empty() && e.owner.is_none() {
-            out.push(Violation {
+            found.push(Violation {
                 invariant: Invariant::ReplicaIntegrity,
                 key: Some(key),
                 blade: None,
@@ -219,10 +220,10 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
             });
         }
         for &r in &e.replicas {
-            match cluster.blades.get(r).and_then(|b| b.pages.get(&key)) {
+            match cluster.blades.get(r).and_then(|b| b.lru.get(&key)) {
                 Some(m) if matches!(m.residency, Residency::Replica) => {
                     if m.version != e.version {
-                        out.push(Violation::page(
+                        found.push(Violation::page(
                             Invariant::ReplicaIntegrity,
                             key,
                             r,
@@ -230,13 +231,13 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
                         ));
                     }
                 }
-                Some(_) => out.push(Violation::page(
+                Some(_) => found.push(Violation::page(
                     Invariant::ReplicaIntegrity,
                     key,
                     r,
                     "replica blade's copy is not a pinned replica".into(),
                 )),
-                None => out.push(Violation::page(
+                None => found.push(Violation::page(
                     Invariant::ReplicaIntegrity,
                     key,
                     r,
@@ -247,7 +248,7 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
 
         for &b in e.owner.iter().chain(&e.sharers).chain(&e.replicas) {
             if !cluster.blade_up(b) {
-                out.push(Violation::page(
+                found.push(Violation::page(
                     Invariant::DownBladeConsistency,
                     key,
                     b,
@@ -256,13 +257,18 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
             }
         }
     }
+    found.sort_by_key(|v| v.key);
+    out.append(&mut found);
 }
 
 /// Blade-side rules: every resident page maps back to the directory role
 /// that justifies its residency.
 fn audit_residency(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     for (b, slot) in cluster.blades.iter().enumerate() {
-        for (key, meta) in &slot.pages {
+        // Recency order, then the findings in key order, as for the
+        // directory above.
+        let mut found = Vec::new();
+        for (key, meta) in slot.lru.iter() {
             let entry = cluster.directory.get(key);
             let role_ok = match (meta.residency, entry) {
                 (Residency::Cached { dirty: true, .. }, Some(e)) => e.owner == Some(b),
@@ -271,7 +277,7 @@ fn audit_residency(cluster: &CacheCluster, out: &mut Vec<Violation>) {
                 (_, None) => false,
             };
             if !role_ok {
-                out.push(Violation::page(
+                found.push(Violation::page(
                     Invariant::ResidencyBacklink,
                     *key,
                     b,
@@ -279,45 +285,31 @@ fn audit_residency(cluster: &CacheCluster, out: &mut Vec<Violation>) {
                 ));
             }
         }
+        found.sort_by_key(|v| v.key);
+        out.append(&mut found);
     }
 }
 
-/// Per-blade structural rules: LRU bookkeeping, capacity, down-blade
-/// state, the un-destaged count.
+/// Per-blade structural rules: capacity, down-blade state, the
+/// un-destaged count. (The recency list and the page table are one
+/// structure, so they cannot disagree.)
 fn audit_blades(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     for (b, slot) in cluster.blades.iter().enumerate() {
-        if slot.lru.len() != slot.pages.len() {
-            out.push(Violation::blade(
-                Invariant::LruAgreement,
-                b,
-                format!("lru tracks {} keys but {} pages resident", slot.lru.len(), slot.pages.len()),
-            ));
-        }
-        for key in slot.pages.keys() {
-            if !slot.lru.contains(key) {
-                out.push(Violation::page(
-                    Invariant::LruAgreement,
-                    *key,
-                    b,
-                    "resident page missing from recency list".into(),
-                ));
-            }
-        }
-        if slot.pages.len() > slot.capacity_pages {
+        if slot.lru.len() > slot.capacity_pages {
             out.push(Violation::blade(
                 Invariant::Capacity,
                 b,
-                format!("{} pages resident, capacity {}", slot.pages.len(), slot.capacity_pages),
+                format!("{} pages resident, capacity {}", slot.lru.len(), slot.capacity_pages),
             ));
         }
-        if slot.state == BladeState::Down && !slot.pages.is_empty() {
+        if slot.state == BladeState::Down && !slot.lru.is_empty() {
             out.push(Violation::blade(
                 Invariant::DownBladeConsistency,
                 b,
-                format!("down blade still holds {} pages", slot.pages.len()),
+                format!("down blade still holds {} pages", slot.lru.len()),
             ));
         }
-        let undestaged = slot.pages.values().filter(|m| m.undestaged()).count();
+        let undestaged = slot.lru.iter().filter(|(_, m)| m.undestaged()).count();
         if slot.undestaged != undestaged {
             out.push(Violation::blade(
                 Invariant::UndestagedCount,
@@ -331,6 +323,8 @@ fn audit_blades(cluster: &CacheCluster, out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::PageMeta;
+    use crate::directory::PageState;
     use crate::lru::Retention;
 
     fn key(p: u64) -> PageKey {
@@ -360,11 +354,35 @@ mod tests {
     }
 
     #[test]
+    fn findings_come_out_in_key_order() {
+        let mut c = CacheCluster::new(4, 16);
+        let keys = [key(9), key(2), key(14), key(5), key(11), key(0)];
+        for &k in &keys {
+            c.write(0, k, 2, Retention::Normal).unwrap();
+            // A sharer that holds nothing, and a clean copy the directory
+            // does not list.
+            c.directory.entry(k).sharers.push(3);
+            let stray = PageMeta {
+                residency: Residency::Cached { state: PageState::Shared, dirty: false },
+                retention: Retention::Normal,
+                version: 1,
+            };
+            c.blades[2].lru.insert(k, stray, Retention::Normal);
+        }
+        let v = audit(&c);
+        for rule in [Invariant::SharerCleanCopy, Invariant::ResidencyBacklink] {
+            let found: Vec<PageKey> = v.iter().filter(|v| v.invariant == rule).filter_map(|v| v.key).collect();
+            assert_eq!(found.len(), keys.len(), "{rule}: {v:?}");
+            assert!(found.windows(2).all(|w| w[0] < w[1]), "{rule} out of key order: {found:?}");
+        }
+    }
+
+    #[test]
     fn stale_replica_version_is_reported() {
         let mut c = CacheCluster::new(4, 16);
         let w = c.write(0, key(5), 2, Retention::Normal).unwrap();
         let replica = w.replicas[0];
-        c.blades[replica].pages.get_mut(&key(5)).unwrap().version = 0;
+        c.blades[replica].lru.get_mut(&key(5)).unwrap().version = 0;
         let violations = audit(&c);
         assert!(violations.iter().any(|v| v.invariant == Invariant::ReplicaIntegrity));
     }

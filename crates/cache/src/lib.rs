@@ -16,6 +16,7 @@
 
 pub mod cluster;
 pub mod directory;
+mod fxhash;
 pub mod heat;
 pub mod invariants;
 pub mod lru;

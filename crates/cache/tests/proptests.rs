@@ -49,6 +49,26 @@ fn reference_dirty_ratio(c: &CacheCluster) -> f64 {
     undestaged as f64 / capacity as f64
 }
 
+/// Every published ordering of the cluster's hashed tables is strictly
+/// ascending by page key: directory walks, residency, dirty lists and the
+/// healer's queue must not leak the hash layout into replay.
+fn assert_key_ordered(c: &CacheCluster) -> Result<(), TestCaseError> {
+    fn ascending(what: &str, keys: &[PageKey]) -> Result<(), TestCaseError> {
+        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "{} not strictly ascending: {:?}", what, keys);
+        Ok(())
+    }
+    ascending("directory().iter()", &c.directory().iter().map(|(k, _)| *k).collect::<Vec<_>>())?;
+    let mut sorted = Vec::new();
+    c.directory().sorted_keys_into(&mut sorted);
+    ascending("directory().sorted_keys_into()", &sorted)?;
+    for b in 0..c.blade_count() {
+        ascending("resident_pages_iter", &c.resident_pages_iter(b).map(|p| p.key).collect::<Vec<_>>())?;
+        ascending("dirty_pages", &c.dirty_pages(b))?;
+    }
+    ascending("under_target_pages", &c.under_target_pages().iter().map(|&(k, _)| k).collect::<Vec<_>>())?;
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -113,6 +133,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(c.dirty_ratio(), reference_dirty_ratio(&c), "dirty ratio after {:?}", op);
+            assert_key_ordered(&c)?;
             let read_only = c.health() == Health::ReadOnly;
             prop_assert_eq!(
                 c.admit_write(0, PageKey::new(0, 0)).is_err(),

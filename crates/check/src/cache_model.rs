@@ -19,7 +19,7 @@
 use crate::explore::Model;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
-use ys_cache::{CacheCluster, PageKey, ReadOutcome, Retention};
+use ys_cache::{CacheCluster, PageKey, ReadOutcome, ResidentPage, Retention};
 
 /// One operation in the bounded scope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -220,7 +220,7 @@ impl Model for CacheModel {
         // reallocated each call. Each `ys-sweep` shard thread owns an
         // independent scratch, keeping shards fully isolated.
         HASH_SCRATCH.with(|scratch| {
-            let (versions, shadow) = &mut *scratch.borrow_mut();
+            let (versions, shadow, keys, pages) = &mut *scratch.borrow_mut();
             versions.clear();
             shadow.clear();
             let mut h = StateHasher::new();
@@ -230,13 +230,14 @@ impl Model for CacheModel {
             // Absolute counter values can grow without bound, but no
             // operation can distinguish two states that order their
             // versions identically.
-            for (_, e) in self.cluster.directory().iter() {
-                versions.push(e.version);
-            }
+            // The cluster's tables are hashed: walk them through sorted
+            // views filled into the reused buffers.
+            let dir = self.cluster.directory();
+            dir.sorted_keys_into(keys);
+            versions.extend(keys.iter().filter_map(|k| dir.get(k)).map(|e| e.version));
             for b in 0..self.scope.blades {
-                for p in self.cluster.resident_pages_iter(b) {
-                    versions.push(p.version);
-                }
+                self.cluster.resident_pages_into(b, pages);
+                versions.extend(pages.iter().map(|p| p.version));
             }
             for &v in self.last_written.values() {
                 versions.push(v);
@@ -245,12 +246,12 @@ impl Model for CacheModel {
             versions.dedup();
             let rank = |v: u64| versions.binary_search(&v).unwrap_or(usize::MAX) as u64;
 
-            // Blade contents, index order; the blade page table is ordered,
-            // so pages stream out key-sorted without materializing.
+            // Blade contents, index order; each blade's pages key-sorted.
             let include_lru = self.scope.capacity_pages < self.scope.pages as usize;
             for b in 0..self.scope.blades {
                 h.write_bool(self.cluster.blade_up(b));
-                for p in self.cluster.resident_pages_iter(b) {
+                self.cluster.resident_pages_into(b, pages);
+                for p in pages.iter() {
                     h.write_u64(p.key.page);
                     h.write_bool(p.replica);
                     h.write_bool(p.dirty);
@@ -272,10 +273,10 @@ impl Model for CacheModel {
                 }
             }
 
-            // Directory: the underlying map is key-ordered, so iteration is
-            // already canonical. Sharer and replica lists keep their stored
-            // order: replica order decides promotion on failure.
-            for (key, e) in self.cluster.directory().iter() {
+            // Directory, in the key order sorted above. Sharer and replica
+            // lists keep their stored order: replica order decides
+            // promotion on failure.
+            for (key, e) in keys.iter().filter_map(|k| dir.get(k).map(|e| (k, e))) {
                 h.write_u64(key.page);
                 match e.owner {
                     Some(o) => h.write_u64(1 + o as u64),
@@ -313,14 +314,15 @@ impl Model for CacheModel {
     }
 }
 
-/// `(version ranks, shadow tuples)` buffers reused across hash calls.
-type HashScratch = (Vec<u64>, Vec<(u64, u64, u64, u64)>);
+/// `(version ranks, shadow tuples, directory keys, resident pages)`
+/// buffers reused across hash calls.
+type HashScratch = (Vec<u64>, Vec<(u64, u64, u64, u64)>, Vec<PageKey>, Vec<ResidentPage>);
 
 thread_local! {
     /// Reused scratch for [`CacheModel::canonical_hash`]; see the comment
     /// there.
     static HASH_SCRATCH: std::cell::RefCell<HashScratch> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+        const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// Render a counterexample trace as a ready-to-paste regression test body.

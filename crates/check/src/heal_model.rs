@@ -19,7 +19,7 @@
 use crate::explore::Model;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
-use ys_cache::{BladeState, CacheCluster, CacheError, Health, PageKey, Retention};
+use ys_cache::{BladeState, CacheCluster, CacheError, Health, PageKey, ResidentPage, Retention};
 
 /// One operation in the bounded heal scope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,17 +235,18 @@ impl Model for HealModel {
     fn canonical_hash(&self) -> u128 {
         // Same scratch-reuse discipline as the cache/failover models.
         HASH_SCRATCH.with(|scratch| {
-            let (versions, shadow) = &mut *scratch.borrow_mut();
+            let (versions, shadow, keys, pages) = &mut *scratch.borrow_mut();
             versions.clear();
             shadow.clear();
             let mut h = StateHasher::new();
-            for (_, e) in self.cluster.directory().iter() {
-                versions.push(e.version);
-            }
+            // The cluster's tables are hashed: walk them through sorted
+            // views filled into the reused buffers.
+            let dir = self.cluster.directory();
+            dir.sorted_keys_into(keys);
+            versions.extend(keys.iter().filter_map(|k| dir.get(k)).map(|e| e.version));
             for b in 0..self.scope.blades {
-                for p in self.cluster.resident_pages_iter(b) {
-                    versions.push(p.version);
-                }
+                self.cluster.resident_pages_into(b, pages);
+                versions.extend(pages.iter().map(|p| p.version));
             }
             versions.sort_unstable();
             versions.dedup();
@@ -253,7 +254,8 @@ impl Model for HealModel {
 
             for b in 0..self.scope.blades {
                 h.write_u64(self.cluster.blade_state(b) as u64);
-                for p in self.cluster.resident_pages_iter(b) {
+                self.cluster.resident_pages_into(b, pages);
+                for p in pages.iter() {
                     h.write_u64(p.key.page);
                     h.write_bool(p.replica);
                     h.write_bool(p.dirty);
@@ -261,7 +263,7 @@ impl Model for HealModel {
                 }
                 h.boundary();
             }
-            for (key, e) in self.cluster.directory().iter() {
+            for (key, e) in keys.iter().filter_map(|k| dir.get(k).map(|e| (k, e))) {
                 h.write_u64(key.page);
                 match e.owner {
                     Some(o) => h.write_u64(1 + o as u64),
@@ -288,13 +290,14 @@ impl Model for HealModel {
     }
 }
 
-/// `(version ranks, shadow tuples)` buffers reused across hash calls.
-type HashScratch = (Vec<u64>, Vec<(u64, u64)>);
+/// `(version ranks, shadow tuples, directory keys, resident pages)`
+/// buffers reused across hash calls.
+type HashScratch = (Vec<u64>, Vec<(u64, u64)>, Vec<PageKey>, Vec<ResidentPage>);
 
 thread_local! {
     /// Reused scratch for [`HealModel::canonical_hash`].
     static HASH_SCRATCH: std::cell::RefCell<HashScratch> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+        const { std::cell::RefCell::new((Vec::new(), Vec::new(), Vec::new(), Vec::new())) };
 }
 
 /// Render a heal counterexample as a ready-to-paste regression test.

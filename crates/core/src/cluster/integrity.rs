@@ -18,6 +18,18 @@ impl BladeCluster {
         ys_security::Key::from_seed(ys_security::keyed_hash(&master, &vol.0.to_be_bytes()))
     }
 
+    /// [`BladeCluster::volume_key`], derived on the volume's first use and
+    /// remembered: the data path ciphers or deciphers a page under it on
+    /// every destage and disk read.
+    fn cached_volume_key(&mut self, vol: VolumeId) -> ys_security::Key {
+        if let Some(&key) = self.volume_keys.get(&vol.0) {
+            return key;
+        }
+        let key = self.volume_key(vol);
+        self.volume_keys.insert(vol.0, key);
+        key
+    }
+
     /// The deterministic plaintext the data plane expects for `vol`'s page
     /// `page` — the representative bytes a host "wrote" there.
     pub fn plaintext_page_tag(vol: VolumeId, page: u64) -> [u8; PAGE_TAG_BYTES] {
@@ -33,10 +45,10 @@ impl BladeCluster {
     /// encryption is on. The page index is the CTR nonce — the
     /// per-(key, nonce) subkey derivation keeps every page's keystream
     /// disjoint under one volume key.
-    fn media_page_tag(&self, vol: VolumeId, page: u64) -> [u8; PAGE_TAG_BYTES] {
+    fn media_page_tag(&mut self, vol: VolumeId, page: u64) -> [u8; PAGE_TAG_BYTES] {
         let mut tag = Self::plaintext_page_tag(vol, page);
         if self.cfg.encryption.at_rest {
-            ys_security::ctr_xor(&self.volume_key(vol), page, 0, &mut tag);
+            ys_security::ctr_xor(&self.cached_volume_key(vol), page, 0, &mut tag);
         }
         tag
     }
@@ -45,7 +57,14 @@ impl BladeCluster {
     /// data-plane half of a destage or scrub rewrite. Timing is charged by
     /// the caller; unmapped pages are a no-op.
     pub(super) fn stamp_page_tag(&mut self, vol: VolumeId, page: u64) {
-        if let Some((disk, offset)) = self.locate_volume_page(vol, page) {
+        let at = self.locate_volume_page(vol, page);
+        self.stamp_page_tag_at(vol, page, at);
+    }
+
+    /// [`BladeCluster::stamp_page_tag`] for a page already located at `at`
+    /// (see [`BladeCluster::locate_pieces`]).
+    pub(super) fn stamp_page_tag_at(&mut self, vol: VolumeId, page: u64, at: Option<(DiskId, u64)>) {
+        if let Some((disk, offset)) = at {
             let tag = self.media_page_tag(vol, page);
             if self.farm.write_page_tag(disk, offset, tag) && self.cfg.encryption.at_rest {
                 self.stats.pages_ciphered += 1;
@@ -61,18 +80,19 @@ impl BladeCluster {
         self.farm.read_page_tag(disk, offset)
     }
 
-    /// Pull the media bytes for `vol`'s page back through the cipher and
-    /// check them against the expected plaintext. `Ok(())` when the page
-    /// has no data-plane bytes yet (never destaged, or rebuilt media).
-    pub(super) fn check_page_tag(&mut self, vol: VolumeId, page: u64) -> Result<(), ClusterError> {
-        let Some((disk, offset)) = self.locate_volume_page(vol, page) else {
+    /// Pull the media bytes for `vol`'s page, located at `at`, back
+    /// through the cipher and check them against the expected plaintext.
+    /// `Ok(())` when the page has no data-plane bytes yet (unmapped, never
+    /// destaged, or rebuilt media).
+    pub(super) fn check_page_tag_at(&mut self, vol: VolumeId, page: u64, at: Option<(DiskId, u64)>) -> Result<(), ClusterError> {
+        let Some((disk, offset)) = at else {
             return Ok(());
         };
         let Some(mut tag) = self.farm.read_page_tag(disk, offset) else {
             return Ok(());
         };
         if self.cfg.encryption.at_rest {
-            ys_security::ctr_xor(&self.volume_key(vol), page, 0, &mut tag);
+            ys_security::ctr_xor(&self.cached_volume_key(vol), page, 0, &mut tag);
             self.stats.pages_deciphered += 1;
         }
         if tag != Self::plaintext_page_tag(vol, page) {
@@ -82,23 +102,31 @@ impl BladeCluster {
     }
 
     /// Where the span of `bytes` at RAID-logical byte `phys` of group `gi`
-    /// starts on the media: the first read of its all-healthy read plan,
-    /// as (farm disk, member offset). A page's media tag lives there.
+    /// starts on the media, as (farm disk, member offset): the first read
+    /// of its all-healthy read plan, which is the primary copy of the
+    /// byte at `phys`. A page's media tag lives there.
     pub(super) fn locate_span(&self, gi: usize, phys: u64, bytes: u64) -> Option<(DiskId, u64)> {
+        if bytes == 0 {
+            return None;
+        }
         let g = &self.groups[gi];
-        let healthy = vec![false; g.geo.members];
-        let plan = ys_raid::read_plan(&g.geo, phys, bytes, &healthy).ok()?;
-        let io = plan.reads.first()?;
-        Some((DiskId(g.disk_base + io.member), io.offset))
+        let at = g.geo.locate(phys);
+        Some((DiskId(g.disk_base + at.member), at.offset))
+    }
+
+    /// [`BladeCluster::locate_span`] of a page's first piece (see
+    /// [`BladeCluster::page_pieces`]); `None` for an unmapped page.
+    pub(super) fn locate_pieces(&self, gi: usize, pieces: &[(u64, u64)]) -> Option<(DiskId, u64)> {
+        let &(phys, plen) = pieces.first()?;
+        self.locate_span(gi, phys, plen)
     }
 
     /// Where the first physical data span backing `vol`'s page `page`
     /// lives: the (disk, member offset) a fault injector would hit.
     /// `None` for unmapped pages. Does not alter any state.
-    pub fn locate_volume_page(&mut self, vol: VolumeId, page: u64) -> Option<(DiskId, u64)> {
-        let pb = self.cfg.page_bytes;
-        let (phys, plen) = *self.map_segments(vol, page * pb, pb, false).ok()?.first()?;
-        self.locate_span(Self::decode_vol(vol).0, phys, plen)
+    pub fn locate_volume_page(&self, vol: VolumeId, page: u64) -> Option<(DiskId, u64)> {
+        let pieces = self.page_pieces(vol, page).ok()?;
+        self.locate_pieces(Self::decode_vol(vol).0, &pieces)
     }
 
     /// Discard the media bytes of every extent the group's pool reclaimed
@@ -182,9 +210,8 @@ impl BladeCluster {
         bytes: u64,
     ) -> Result<SimTime, ClusterError> {
         let (gi, member) = self.group_of_disk(disk).ok_or(ClusterError::Disk(ys_simdisk::DiskError::OutOfRange))?;
-        let failed = self.group_failed(gi);
         let geo = self.groups[gi].geo;
-        let plan = ys_raid::repair_plan(&geo, member, offset, bytes, &failed)?;
+        let plan = ys_raid::repair_plan(&geo, member, offset, bytes, self.group_failed(gi))?;
         let (done, mismatches) = self.charge_io_plan(gi, blade, now, &plan)?;
         self.stats.integrity_errors += mismatches.len() as u64;
         if let Some(m) = mismatches.first() {
@@ -207,14 +234,8 @@ impl BladeCluster {
         if self.cache.is_lost(key) {
             return Ok(None);
         }
-        let holder = self
-            .cache
-            .directory()
-            .get(&key)
-            .map(|e| e.holders())
-            .unwrap_or_default()
-            .into_iter()
-            .find(|&b| self.cache.blade_up(b));
+        let holder =
+            self.cache.directory().get(&key).and_then(|e| e.holders().find(|&b| self.cache.blade_up(b)));
         let Some(blade) = holder else {
             return Ok(None);
         };

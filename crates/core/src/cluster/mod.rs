@@ -40,6 +40,25 @@ use ys_qos::{AdmissionController, Decision, Pressure, ShedReason};
 use ys_simnet::{catalog, Fabric, Link, LinkSpec};
 use ys_virt::{PhysicalPool, Segment, VirtError, VolumeId, VolumeManager};
 
+/// One mapped piece of a volume byte range: `len` bytes at volume byte
+/// `vbyte`, backed at RAID-logical byte `phys` of the volume's group.
+#[derive(Clone, Copy, Debug)]
+struct MappedRun {
+    vbyte: u64,
+    phys: u64,
+    len: u64,
+}
+
+/// The parts of `runs` inside volume bytes `[lo, hi)`, as (RAID-logical
+/// byte, length) pieces — the same pieces mapping `[lo, hi)` alone yields.
+fn clip_runs(runs: &[MappedRun], lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+    runs.iter().filter_map(move |r| {
+        let a = lo.max(r.vbyte);
+        let b = hi.min(r.vbyte + r.len);
+        (a < b).then(|| (r.phys + (a - r.vbyte), b - a))
+    })
+}
+
 /// Completion info for one request.
 #[derive(Clone, Copy, Debug)]
 pub struct Completion {
@@ -216,9 +235,17 @@ pub struct BladeCluster {
     /// Ordered: `advance` sweeps this map to land fills, and the landing
     /// order must be the same on every replay of a seed.
     inflight_fills: std::collections::BTreeMap<(u32, u64), (u64, usize)>,
+    /// No in-flight prefetch lands before this instant (ns): the earliest
+    /// arrival when last computed, lowered by each new prefetch. A fill
+    /// joined by a foreground miss can leave it early, never late, so
+    /// `advance` may skip its sweep until then.
+    fills_due: u64,
     /// Last sequential position per (client, volume), for readahead.
     seq_cursor: std::collections::BTreeMap<(usize, u32), u64>,
     failed_disks: Vec<bool>,
+    /// Per-volume cipher keys, keyed by volume id (see
+    /// [`BladeCluster::volume_key`]), derived on first use.
+    volume_keys: std::collections::BTreeMap<u32, ys_security::Key>,
     /// Multi-tenant admission control + SLO tracking (`ys-qos`).
     qos: AdmissionController,
     pub stats: ClusterStats,
@@ -257,8 +284,10 @@ impl BladeCluster {
             rr_next: 0,
             pending: BinaryHeap::new(),
             inflight_fills: std::collections::BTreeMap::new(),
+            fills_due: u64::MAX,
             seq_cursor: std::collections::BTreeMap::new(),
             failed_disks: vec![false; total_disks],
+            volume_keys: std::collections::BTreeMap::new(),
             qos: AdmissionController::new(cfg.qos.clone()),
             stats: ClusterStats::default(),
             cfg,
@@ -294,9 +323,9 @@ impl BladeCluster {
     }
 
     /// This group's slice of the global failed-disk mask.
-    fn group_failed(&self, group: usize) -> Vec<bool> {
+    fn group_failed(&self, group: usize) -> &[bool] {
         let g = &self.groups[group];
-        self.failed_disks[g.disk_base..g.disk_base + g.geo.members].to_vec()
+        &self.failed_disks[g.disk_base..g.disk_base + g.geo.members]
     }
 
     pub fn config(&self) -> &ClusterConfig {
@@ -437,7 +466,7 @@ impl BladeCluster {
             self.pending.pop();
             self.apply_destage(PageKey::new(vol, page), version);
         }
-        if !self.inflight_fills.is_empty() {
+        if SimTime(self.fills_due) <= now {
             let landed: Vec<((u32, u64), usize)> = self
                 .inflight_fills
                 .iter()
@@ -450,6 +479,7 @@ impl BladeCluster {
                     let _ = self.cache.fill(blade, PageKey::new(vol, page), Retention::Normal);
                 }
             }
+            self.fills_due = self.inflight_fills.values().map(|&(t, _)| t).min().unwrap_or(u64::MAX);
         }
     }
 
@@ -513,20 +543,28 @@ impl BladeCluster {
         Ok((done, mismatches))
     }
 
-    /// Translate a volume byte range into (group, RAID-logical byte) pieces
-    /// (allocating DMSD extents for writes).
-    fn map_segments(&mut self, vol: VolumeId, offset: u64, len: u64, allocate: bool) -> Result<Vec<(u64, u64)>, ClusterError> {
+    /// Back every DMSD extent under `[offset, offset+len)` of `vol`
+    /// (demand-map holes, redirect snapshot-shared extents).
+    fn allocate_extents(&mut self, vol: VolumeId, offset: u64, len: u64) -> Result<(), ClusterError> {
         let (gi, local) = Self::decode_vol(vol);
         let eb = self.cfg.extent_bytes;
         let first_ext = offset / eb;
         let last_ext = (offset + len - 1) / eb;
-        if allocate {
-            self.groups[gi].volumes.write(local, first_ext, last_ext - first_ext + 1)?;
-            // A COW redirect may have released extents; trim anything that
-            // reached refcount zero (backstop: also drains frees from any
-            // path above) before a stale tag can be stamped over or read.
-            self.scrub_reclaimed_extents(gi);
-        }
+        self.groups[gi].volumes.write(local, first_ext, last_ext - first_ext + 1)?;
+        // A COW redirect may have released extents; trim anything that
+        // reached refcount zero (backstop: also drains frees from any
+        // path above) before a stale tag can be stamped over or read.
+        self.scrub_reclaimed_extents(gi);
+        Ok(())
+    }
+
+    /// The mapped runs of `vol`'s byte range `[offset, offset+len)`, in
+    /// volume order; holes are left out.
+    fn map_runs(&self, vol: VolumeId, offset: u64, len: u64) -> Result<Vec<MappedRun>, ClusterError> {
+        let (gi, local) = Self::decode_vol(vol);
+        let eb = self.cfg.extent_bytes;
+        let first_ext = offset / eb;
+        let last_ext = (offset + len - 1) / eb;
         let segs = self.groups[gi].volumes.read(local, first_ext, last_ext - first_ext + 1)?;
         let mut out = Vec::new();
         for seg in segs {
@@ -537,12 +575,18 @@ impl BladeCluster {
                 let lo = offset.max(seg_vbytes);
                 let hi = (offset + len).min(seg_end);
                 if lo < hi {
-                    let phys = pstart * eb + (lo - seg_vbytes);
-                    out.push((phys, hi - lo));
+                    out.push(MappedRun { vbyte: lo, phys: pstart * eb + (lo - seg_vbytes), len: hi - lo });
                 }
             }
         }
         Ok(out)
+    }
+
+    /// The (RAID-logical byte, length) pieces backing `vol`'s page `page`;
+    /// empty for an unmapped page.
+    pub(super) fn page_pieces(&self, vol: VolumeId, page: u64) -> Result<Vec<(u64, u64)>, ClusterError> {
+        let pb = self.cfg.page_bytes;
+        Ok(self.map_runs(vol, page * pb, pb)?.iter().map(|r| (r.phys, r.len)).collect())
     }
 
     /// Read `[offset, offset+len)` from `vol` on behalf of `client`.
@@ -646,6 +690,7 @@ impl BladeCluster {
             if let Ok(Some(fetched)) = self.fetch_page(blade, vol, page, at) {
                 if fetched.mismatches.is_empty() {
                     self.inflight_fills.insert((key.volume, key.page), (fetched.done.nanos(), blade));
+                    self.fills_due = self.fills_due.min(fetched.done.nanos());
                     self.stats.prefetches_issued += 1;
                 }
             }
@@ -660,38 +705,46 @@ impl BladeCluster {
     /// arrived and every read that hit rotten media (each one counted in
     /// `stats.integrity_errors`).
     fn fetch_page(&mut self, blade: usize, vol: VolumeId, page: u64, start: SimTime) -> Result<Option<PageVerify>, ClusterError> {
-        let pb = self.cfg.page_bytes;
-        let (gi, _) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
-        let geo = self.groups[gi].geo;
-        let pieces = self.map_segments(vol, page * pb, pb, false)?;
+        let pieces = self.page_pieces(vol, page)?;
         if pieces.is_empty() {
             return Ok(None);
         }
+        Ok(Some(self.fetch_pieces(blade, Self::decode_vol(vol).0, &pieces, start)?))
+    }
+
+    /// [`BladeCluster::fetch_page`] of an already-mapped page: one RAID
+    /// read plan per piece of group `gi`.
+    fn fetch_pieces(&mut self, blade: usize, gi: usize, pieces: &[(u64, u64)], start: SimTime) -> Result<PageVerify, ClusterError> {
+        let geo = self.groups[gi].geo;
         let mut fetched = PageVerify { done: start, mismatches: Vec::new() };
-        for (phys, plen) in pieces {
-            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
+        for &(phys, plen) in pieces {
+            let plan = ys_raid::read_plan(&geo, phys, plen, self.group_failed(gi))?;
             let (done, mut mismatches) = self.charge_io_plan(gi, blade, start, &plan)?;
             self.stats.integrity_errors += mismatches.len() as u64;
             fetched.done = fetched.done.max(done);
             fetched.mismatches.append(&mut mismatches);
         }
-        Ok(Some(fetched))
+        Ok(fetched)
     }
 
     /// Foreground read of one page from disk: fetch it, refuse rot, check
     /// that the media bytes decipher to the expected plaintext, decrypt,
-    /// and hand `piece` bytes through the blade CPU.
+    /// and hand `piece` bytes through the blade CPU. The page is mapped
+    /// once, for both the fetch and the tag check.
     fn read_page_from_disk(&mut self, blade: usize, vol: VolumeId, page: u64, start: SimTime, piece: u64) -> Result<SimTime, ClusterError> {
         self.stats.reads_from_disk += 1;
+        let gi = Self::decode_vol(vol).0;
+        let pieces = self.page_pieces(vol, page)?;
         let mut done = start;
-        if let Some(fetched) = self.fetch_page(blade, vol, page, start)? {
+        if !pieces.is_empty() {
+            let fetched = self.fetch_pieces(blade, gi, &pieces, start)?;
             if let Some(m) = fetched.mismatches.first() {
                 return Err(ClusterError::Integrity { disk: m.disk, offset: m.offset });
             }
             done = fetched.done;
         }
-        self.check_page_tag(vol, page)?;
+        let at = self.locate_pieces(gi, &pieces);
+        self.check_page_tag_at(vol, page, at)?;
         let dec = self.crypt_time(self.cfg.page_bytes, self.cfg.encryption.at_rest);
         Ok(self.cpus[blade].transfer(done + dec, piece).arrival)
     }
@@ -754,10 +807,14 @@ impl BladeCluster {
             .arrival;
         t += self.crypt_time(len, self.cfg.encryption.in_transit);
         // Ensure DMSD backing exists (allocation is metadata work on the CPU).
-        self.map_segments(vol, offset, len, true)?;
+        self.allocate_extents(vol, offset, len)?;
 
         let first_page = offset / pb;
         let last_page = (offset + len - 1) / pb;
+        // Map the request's pages once; each page's destage and media tag
+        // use its clip of these runs.
+        let runs = self.map_runs(vol, first_page * pb, (last_page - first_page + 1) * pb)?;
+        let mut pieces: Vec<(u64, u64)> = Vec::new();
         let mut ack = t;
         for page in first_page..=last_page {
             let key = PageKey::new(vol.0, page);
@@ -782,10 +839,13 @@ impl BladeCluster {
             // Background destage: RAID write of the page at ack time, with
             // at-rest encryption charged on the way down.
             let enc = self.crypt_time(pb, self.cfg.encryption.at_rest);
-            let destage_done = self.destage_page(blade, vol, page, ack + enc)?;
+            pieces.clear();
+            pieces.extend(clip_runs(&runs, page * pb, (page + 1) * pb));
+            let destage_done = self.destage_pieces(blade, tgi, &pieces, ack + enc)?;
             // Data plane: what lands on the media is the (possibly
             // ciphered) page bytes, not the plaintext.
-            self.stamp_page_tag(vol, page);
+            let at = self.locate_pieces(tgi, &pieces);
+            self.stamp_page_tag_at(vol, page, at);
             self.queue_destage(destage_done, key, outcome.version);
         }
         let latency = ack.since(now);
@@ -800,14 +860,17 @@ impl BladeCluster {
     /// partial-stripe write reads old data and parity first; rot found by
     /// those reads is not acted on here.
     fn destage_page(&mut self, blade: usize, vol: VolumeId, page: u64, start: SimTime) -> Result<SimTime, ClusterError> {
-        let pb = self.cfg.page_bytes;
-        let (gi, _) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
+        let pieces = self.page_pieces(vol, page)?;
+        self.destage_pieces(blade, Self::decode_vol(vol).0, &pieces, start)
+    }
+
+    /// [`BladeCluster::destage_page`] of an already-mapped page: one RAID
+    /// write plan per piece of group `gi`.
+    fn destage_pieces(&mut self, blade: usize, gi: usize, pieces: &[(u64, u64)], start: SimTime) -> Result<SimTime, ClusterError> {
         let geo = self.groups[gi].geo;
-        let pieces = self.map_segments(vol, page * pb, pb, false)?;
         let mut done = start;
-        for (phys, plen) in pieces {
-            let plan = ys_raid::write_plan(&geo, phys, plen, &failed)?;
+        for &(phys, plen) in pieces {
+            let plan = ys_raid::write_plan(&geo, phys, plen, self.group_failed(gi))?;
             done = done.max(self.charge_io_plan(gi, blade, start, &plan)?.0);
         }
         Ok(done)

@@ -77,15 +77,14 @@ impl BladeCluster {
         extents: u64,
     ) -> Result<(u64, SimTime), ClusterError> {
         let (gi, local) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
         let geo = self.groups[gi].geo;
         let eb = self.cfg.extent_bytes;
         let (moved, copies) = self.groups[gi].volumes.relocate(local, extent_off, extents)?;
         let mut done = now;
         for &(old_phys, new_phys, len) in &copies {
-            let read = ys_raid::read_plan(&geo, old_phys * eb, len * eb, &failed)?;
+            let read = ys_raid::read_plan(&geo, old_phys * eb, len * eb, self.group_failed(gi))?;
             let (t, _) = self.charge_io_plan(gi, blade, now, &read)?;
-            let write = ys_raid::write_plan(&geo, new_phys * eb, len * eb, &failed)?;
+            let write = ys_raid::write_plan(&geo, new_phys * eb, len * eb, self.group_failed(gi))?;
             done = done.max(self.charge_io_plan(gi, blade, t, &write)?.0);
         }
         // Data plane: the media bytes travel with the copy, page by page,

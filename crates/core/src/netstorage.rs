@@ -118,6 +118,9 @@ pub struct NetStorage {
     pub fs: FileSystem,
     /// Queued WAN links per ordered site pair.
     wan: Vec<Vec<Option<Link>>>,
+    /// In-transit cipher key per ordered site pair, `[from][to]`, derived
+    /// once at construction (see [`NetStorage::derive_wire_key`]).
+    wire_keys: Vec<Vec<ys_security::Key>>,
     files: Vec<Ino>,
     /// Monotone wire-frame sequence: the CTR nonce for in-transit frames,
     /// so no two frames ever share a keystream.
@@ -161,6 +164,10 @@ impl NetStorage {
             }
             wan.push(row);
         }
+        let master_seed = cfg.site_cluster.master_key_seed;
+        let wire_keys = (0..nsites)
+            .map(|a| (0..nsites).map(|b| Self::derive_wire_key(master_seed, SiteId(a), SiteId(b))).collect())
+            .collect();
         let mut fs = FileSystem::new(vec![VolumeId(0)], cfg.stripe_unit);
         for (spec, &vol) in specs.iter().skip(1).zip(&class_volumes) {
             fs.add_storage_class(spec.level, vec![vol]);
@@ -171,6 +178,7 @@ impl NetStorage {
             repl: ReplicationEngine::new(),
             fs,
             wan,
+            wire_keys,
             topology: cfg.topology,
             files: Vec::new(),
             wire_seq: 0,
@@ -223,12 +231,17 @@ impl NetStorage {
     /// Per-ordered-site-pair wire key: a keyed hash of (src, dst) under
     /// the cluster master key, so the WAN stage never reuses a volume key
     /// and a compromised trunk tap reveals nothing about data at rest.
-    fn wire_key(&self, from: SiteId, to: SiteId) -> ys_security::Key {
-        let master = ys_security::Key::from_seed(self.clusters[0].config().master_key_seed);
+    fn derive_wire_key(master_seed: u64, from: SiteId, to: SiteId) -> ys_security::Key {
+        let master = ys_security::Key::from_seed(master_seed);
         let mut label = [0u8; 16];
         label[..8].copy_from_slice(&(from.0 as u64).to_be_bytes());
         label[8..].copy_from_slice(&(to.0 as u64).to_be_bytes());
         ys_security::Key::from_seed(ys_security::keyed_hash(&master, &label))
+    }
+
+    /// The wire key of `from → to`, as derived at construction.
+    fn wire_key(&self, from: SiteId, to: SiteId) -> ys_security::Key {
+        self.wire_keys[from.0][to.0]
     }
 
     /// The representative plaintext bytes of one wire frame.
@@ -931,6 +944,24 @@ mod tests {
         ns_sw.read_file(w_sw.done, S2, 0, "/wire.dat", 0, 1 << 20).unwrap();
         assert!(ns_sw.stats.wire_frames_ciphered > before, "migration frames are ciphered too");
         assert_eq!(ns_sw.stats.wire_frames_plaintext, 0);
+    }
+
+    #[test]
+    fn wire_keys_are_derived_once_per_ordered_pair() {
+        let cfg = NetStorageConfig { topology: SiteTopology::national_lab(), ..small_sites() };
+        let seed = cfg.site_cluster.master_key_seed;
+        let ns = NetStorage::new(cfg);
+        let n = ns.topology.len();
+        assert!(n >= 2);
+        for a in 0..n {
+            for b in 0..n {
+                let (from, to) = (SiteId(a), SiteId(b));
+                assert_eq!(ns.wire_key(from, to), NetStorage::derive_wire_key(seed, from, to), "{a} -> {b}");
+                if a != b {
+                    assert_ne!(ns.wire_key(from, to), ns.wire_key(to, from), "each direction has its own key");
+                }
+            }
+        }
     }
 
     #[test]

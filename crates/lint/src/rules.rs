@@ -132,14 +132,27 @@ pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
     if !in_scope(rel, ENTROPY_EXEMPT_CRATES) {
         ambient_entropy(toks, &live, &mut push);
     }
+    let mut exported = Vec::new();
     if in_scope(rel, REPLAY_CRATES) {
-        unordered_iteration(toks, &live, &mut push);
+        exported = unordered_iteration(toks, &live, &mut push);
     }
 
     findings.retain(|f| {
         f.rule == ALLOW_SYNTAX
             || !allowed.get(&f.line).is_some_and(|rules| rules.contains(f.rule))
     });
+    // Reported after suppression: a marker may justify a private
+    // lookup-only alias, but not one that other files can name, since
+    // their uses would be invisible to this file's alias tracking.
+    for (line, message) in exported {
+        findings.push(Finding {
+            file: rel.to_string(),
+            line,
+            rule: "unordered-iteration",
+            message,
+            snippet: snippet(line),
+        });
+    }
     findings.sort();
     findings.dedup();
     findings
@@ -517,18 +530,25 @@ const UNORDERED_TYPES: &[&str] =
     &["HashMap", "HashSet", "FxHashMap", "FxHashSet", "AHashMap", "AHashSet"];
 const UNORDERED_MODS: &[&str] = &["hash_map", "hash_set"];
 
+fn is_unordered_name(text: &str) -> bool {
+    UNORDERED_TYPES.contains(&text) || UNORDERED_MODS.contains(&text)
+}
+
+/// Flags hashed containers, and every use of a `type` alias for one, in
+/// the file. Returns the exported hashed aliases as `(line, message)`:
+/// the caller reports those past any suppression marker.
 fn unordered_iteration(
     toks: &[Tok],
     live: &[usize],
     push: &mut impl FnMut(u32, &'static str, String),
-) {
+) -> Vec<(u32, String)> {
+    let aliases = hashed_aliases(toks, live);
     for &i in live {
         let t = &toks[i];
         if t.kind != TokKind::Ident {
             continue;
         }
-        if UNORDERED_TYPES.contains(&t.text.as_str()) || UNORDERED_MODS.contains(&t.text.as_str())
-        {
+        if is_unordered_name(&t.text) {
             push(
                 t.line,
                 "unordered-iteration",
@@ -539,6 +559,100 @@ fn unordered_iteration(
                     t.text
                 ),
             );
+        } else if let Some(a) = aliases.iter().find(|a| a.name == t.text && a.name_tok != i) {
+            push(
+                t.line,
+                "unordered-iteration",
+                format!(
+                    "{} aliases a hashed container (line {}): its iteration \
+                     order follows the hasher; use BTreeMap/BTreeSet or sort \
+                     explicitly",
+                    t.text, a.line
+                ),
+            );
         }
     }
+    aliases
+        .iter()
+        .filter(|a| a.exported)
+        .map(|a| {
+            (
+                a.line,
+                format!(
+                    "exported alias {} of a hashed container: uses in other \
+                     files escape this rule; keep the alias private to its file",
+                    a.name
+                ),
+            )
+        })
+        .collect()
+}
+
+/// A `type` item whose right-hand side names a hashed container, directly
+/// or through another such alias in the same file.
+struct HashedAlias {
+    name: String,
+    /// Token index of the alias name in its own definition.
+    name_tok: usize,
+    line: u32,
+    /// Declared `pub` or `pub(..)`.
+    exported: bool,
+}
+
+fn hashed_aliases(toks: &[Tok], live: &[usize]) -> Vec<HashedAlias> {
+    let mut items: Vec<(HashedAlias, Vec<&str>)> = Vec::new();
+    for (k, &i) in live.iter().enumerate() {
+        if !toks[i].is_ident("type") {
+            continue;
+        }
+        let Some(&name_tok) = live.get(k + 1) else { continue };
+        if toks[name_tok].kind != TokKind::Ident {
+            continue;
+        }
+        let before = |n: usize| k.checked_sub(n).and_then(|p| live.get(p)).map(|&j| &toks[j]);
+        let exported = match before(1) {
+            Some(t) if t.is_ident("pub") => true,
+            // `pub(crate)`, `pub(super)`, `pub(in path)`.
+            Some(t) if t.is_punct(')') => (2..=k)
+                .find(|&n| before(n).is_some_and(|t| t.is_punct('(')))
+                .is_some_and(|n| before(n + 1).is_some_and(|t| t.is_ident("pub"))),
+            _ => false,
+        };
+        // Identifiers after the first `=` up to the item's `;`.
+        let rhs: Vec<&str> = live[k + 2..]
+            .iter()
+            .map(|&j| &toks[j])
+            .take_while(|t| !t.is_punct(';'))
+            .skip_while(|t| !t.is_punct('='))
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.as_str())
+            .collect();
+        let alias = HashedAlias {
+            name: toks[name_tok].text.clone(),
+            name_tok,
+            line: toks[i].line,
+            exported,
+        };
+        items.push((alias, rhs));
+    }
+    // Fixpoint: an alias of a hashed alias is hashed too, in any order.
+    let mut hashed: Vec<bool> =
+        items.iter().map(|(_, rhs)| rhs.iter().any(|t| is_unordered_name(t))).collect();
+    loop {
+        let mut changed = false;
+        for k in 0..items.len() {
+            if !hashed[k]
+                && items[k].1.iter().any(|t| {
+                    items.iter().zip(&hashed).any(|((a, _), &h)| h && a.name == *t)
+                })
+            {
+                hashed[k] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    items.into_iter().zip(hashed).filter(|(_, h)| *h).map(|((a, _), _)| a).collect()
 }

@@ -10,6 +10,7 @@ const PANIC: &str = include_str!("fixtures/panic_path.rs");
 const WALL: &str = include_str!("fixtures/wall_clock.rs");
 const ENTROPY: &str = include_str!("fixtures/ambient_entropy.rs");
 const UNORDERED: &str = include_str!("fixtures/unordered_iteration.rs");
+const ALIAS: &str = include_str!("fixtures/unordered_alias.rs");
 const SYNTAX: &str = include_str!("fixtures/allow_syntax.rs");
 const SOUP: &str = include_str!("fixtures/token_soup.rs");
 
@@ -99,6 +100,31 @@ fn unordered_iteration_fires_and_respects_markers() {
         line_of(UNORDERED, "std::collections::HashSet::new()"),
     ];
     assert_eq!(got, want, "findings: {f:#?}");
+}
+
+#[test]
+fn unordered_iteration_follows_hashed_aliases() {
+    let f = analyze_source("crates/cache/src/fixture.rs", ALIAS);
+    let got = lines_for(&f, "unordered-iteration");
+    let want = vec![
+        line_of(ALIAS, "type Chained<V> = FxMap<u64, V>;"),
+        line_of(ALIAS, "by_key: FxMap<u64, u32>,"),
+        line_of(ALIAS, "-> Chained<u32>"),
+        line_of(ALIAS, "pub(crate) type Exported"),
+        line_of(ALIAS, "pub type Visible"),
+    ];
+    assert_eq!(got, want, "findings: {f:#?}");
+    // The marked definition, the marked use and the BTreeMap alias stay
+    // silent; the two exported aliases fire despite their markers.
+    let exported: Vec<&str> =
+        f.iter().filter(|x| x.message.starts_with("exported alias")).map(|x| x.snippet.as_str()).collect();
+    assert_eq!(exported.len(), 2, "findings: {f:#?}");
+}
+
+#[test]
+fn hashed_aliases_are_scoped_to_replay_crates() {
+    let f = analyze_source("crates/pfs/src/fixture.rs", ALIAS);
+    assert!(f.is_empty(), "pfs state never feeds replay: {f:#?}");
 }
 
 #[test]
